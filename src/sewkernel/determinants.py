@@ -6,11 +6,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lgamma, log
 
 import numpy as np
+from scipy.special import gammaln
 
-from .elliptic import DEFAULT_BUDGET, eisenstein, weierstrass_P
+from .elliptic import (
+    DEFAULT_BUDGET,
+    eisenstein_hat,
+    weierstrass_P,
+    weierstrass_P_orders,
+)
 
 
 @dataclass(frozen=True)
@@ -64,49 +69,23 @@ def det_I_minus(M, method="trace_log"):
     return DetResult(complex(val), n, "trace_log", float(abs(val)) * max(last, 1e-16))
 
 
-def _scaled_eisenstein_factor(k, l, tau, b):
-    """(k+l-1)!/((k-1)!(l-1)!) * E_{k+l}(tau), assembled in log space so that
-    large orders neither overflow nor underflow."""
-    m = k + l
-    if m % 2 == 1:
-        return 0.0j
-    logfac = lgamma(m) - lgamma(k) - lgamma(l)
-    if m <= 60:
-        return np.exp(logfac) * eisenstein(m, tau, b)
-    # large order: fold the factorials into the terms of E_m
-    from scipy.special import zeta
-
-    const = (-1) ** (m // 2) * 2.0 * np.exp(logfac - m * log(2.0 * np.pi)) * zeta(m)
-    q = np.exp(2j * np.pi * tau)
-    total = const
-    order = max(8, b.qseries_cutoff)
-    lgm = lgamma(m)
-    for nq in range(1, order + 1):
-        s = 0.0
-        for d in range(1, nq + 1):
-            if nq % d == 0:
-                s += np.exp((m - 1) * log(d) - lgm + logfac)
-        term = 2.0 * s * q**nq
-        total += term
-        if abs(term) < b.rel_tol * max(abs(total), 1e-300):
-            break
-    return complex(total)
+def _moment_factor(k, l):
+    """(-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!) as the exponential of its log."""
+    return (-1.0) ** (k + 1) * np.exp(gammaln(k + l) - gammaln(k) - gammaln(l))
 
 
 def moment_C_boson(k, l, tau, b=None):
     """Bosonic moment C(k, l, tau) = (-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!)
     E_{k+l}(tau)."""
-    b = b or DEFAULT_BUDGET
-    return (-1) ** (k + 1) * _scaled_eisenstein_factor(k, l, tau, b)
+    m = k + l
+    ehat = eisenstein_hat(m, tau, b)
+    return complex(_moment_factor(k, l) * ehat[m] * (2.0 * np.pi) ** -m)
 
 
 def moment_D_boson(k, l, tau, z, b=None):
     """Bosonic moment D(k, l, tau, z): as moment_C but with the Weierstrass
     function P_{k+l}(tau, z) in place of E_{k+l}(tau)."""
-    b = b or DEFAULT_BUDGET
-    m = k + l
-    logfac = lgamma(m) - lgamma(k) - lgamma(l)
-    return (-1) ** (k + 1) * np.exp(logfac) * weierstrass_P(m, z, tau, b)
+    return complex(_moment_factor(k, l) * weierstrass_P(k + l, z, tau, b))
 
 
 def build_R(N, sew, b=None):
@@ -115,19 +94,24 @@ def build_R(N, sew, b=None):
         R_ab(k, l) = -(rho^((k+l)/2) / sqrt(k*l))
                      * [[D(k,l,tau,w), C(k,l,tau)],
                         [C(k,l,tau),  D(l,k,tau,w)]]_ab.
+
+    One table of Ehat_m = (2*pi)^m E_m(tau) serves both the Eisenstein
+    values of C and the Laurent series of every P_m(tau, w), m <= 2N.
     """
     b = b or DEFAULT_BUDGET
-    tau, w = sew.tau, sew.w
-    R = np.zeros((2 * N, 2 * N), dtype=complex)
-    for k in range(1, N + 1):
-        for l in range(1, N + 1):
-            pref = -sew.rho_pow(0.5 * (k + l)) / np.sqrt(float(k * l))
-            Ckl = moment_C_boson(k, l, tau, b)
-            R[k - 1, l - 1] = pref * moment_D_boson(k, l, tau, w, b)
-            R[k - 1, N + l - 1] = pref * Ckl
-            R[N + k - 1, l - 1] = pref * Ckl
-            R[N + k - 1, N + l - 1] = pref * moment_D_boson(l, k, tau, w, b)
-    return R
+    tau = sew.tau
+    ehat = eisenstein_hat(2 * N + 400, tau, b)
+    orders = np.arange(2, 2 * N + 1)
+    P = np.zeros(2 * N + 1, dtype=complex)
+    P[orders] = weierstrass_P_orders(orders, sew.w, tau, ehat, b)
+    E = ehat[: 2 * N + 1] * (2.0 * np.pi) ** -np.arange(2 * N + 1.0)
+    k = np.arange(1, N + 1)
+    K, L = k[:, None], k[None, :]
+    fac = _moment_factor(K, L)
+    pref = -sew.rho_pow(0.5 * (K + L)) / np.sqrt((K * L).astype(float))
+    C = pref * fac * E[K + L]
+    D = pref * fac * P[K + L]
+    return np.block([[D, C], [C, D.T]])
 
 
 def det_inv_sqrt_I_minus_R(N, sew, b=None, n_path=16):

@@ -15,20 +15,41 @@ Conventions used throughout the package:
   the prime form K(z, tau) = theta_1(z, tau) / theta_1'(0, tau) behaves like z
   near the origin.
 
-All series are evaluated adaptively: the summation cutoff is doubled (at most
-four times) until the relative change of the result drops below the requested
-tolerance.
+Every series is summed once, over a range of terms fixed in advance from a
+bound on its tail (Deconinck et al., "Computing Riemann theta functions",
+Math. Comp. 73, 2004), so that the dropped terms together stay below
+double-precision round-off relative to the largest term kept:
+
+* a theta term exp(i*pi*nu^2*tau + nu*zz), nu = n + alpha, has modulus
+  exp(-pi*t*nu^2 + a*nu) with t = Im(tau) and a = Re(zz), a Gaussian in nu
+  centred on a/(2*pi*t).  Both tails beyond a distance W from the centre sum
+  to at most 2*exp(-pi*t*W^2)/(1 - exp(-2*pi*t*W)) times the largest term,
+  and W is chosen so that this is below round-off;
+* the q-series (eta, the Eisenstein table) stop where their geometric tail
+  is below round-off.
+
+SeriesBudget.lattice_cutoff and SeriesBudget.qseries_cutoff are lower limits
+on these ranges.  On a product grid, theta[alpha; beta](x_i - y_j) for a
+column x and a row y, the lattice sum separates into one matrix product
+(see theta_char_g1_diff).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log
+from math import ceil, floor, log
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import gammaln, zeta
 
 TWO_PI_I = 2.0j * np.pi
+LOG_2PI = log(2.0 * np.pi)
+
+# a tail below exp(-_LOG_EPS) of the largest term is below round-off
+_LOG_EPS = -log(np.finfo(float).eps)
+
+# number of terms of the Laurent series of P_m (orders k = m, m + 2, ...)
+_LAURENT_TERMS = 200
 
 
 @dataclass(frozen=True)
@@ -38,11 +59,14 @@ class SeriesBudget:
     Attributes
     ----------
     lattice_cutoff : int
-        Initial summation cutoff for theta-type lattice sums.
+        Lower limit on the summation range |n| <= lattice_cutoff of theta-type
+        lattice sums; the range grows beyond it where the tail bound needs.
     qseries_cutoff : int
-        Initial truncation order for q-expansions (eta, Eisenstein series).
+        Lower limit on the truncation order of q-expansions (eta, Eisenstein
+        series).
     rel_tol : float
-        Relative tolerance used by the adaptive doubling loop.
+        Relative size below which three consecutive terms stop the Laurent
+        series of the Weierstrass-type functions.
     """
 
     lattice_cutoff: int = 16
@@ -51,8 +75,6 @@ class SeriesBudget:
 
 
 DEFAULT_BUDGET = SeriesBudget()
-
-_MAX_DOUBLINGS = 4
 
 
 def _budget(b):
@@ -64,48 +86,91 @@ def _check_tau(tau):
         raise ValueError(f"tau must lie in the upper half plane, got {tau}")
 
 
+def _reduced_basis(tau):
+    """Lagrange-Gauss reduced basis of Z + Z*tau.
+
+    Returns integer pairs (n1, m1), (n2, m2) such that u = n1 + m1*tau and
+    v = n2 + m2*tau span Z + Z*tau, |u| <= |v| and |Re(v*conj(u))| <= |u|^2/2.
+    Then u is a shortest non-zero vector, and the coordinates in (u, v) of
+    the lattice point nearest to any point differ by at most one from the
+    rounded coordinates of that point.
+    """
+    a, c = (1, 0), (0, 1)
+
+    def val(p):
+        return p[0] + p[1] * tau
+
+    if abs(val(a)) > abs(val(c)):
+        a, c = c, a
+    while True:
+        u = val(a)
+        mu = round((val(c) * np.conj(u)).real / abs(u) ** 2)
+        c = (c[0] - mu * a[0], c[1] - mu * a[1])
+        if abs(val(c)) >= abs(u):
+            return a, c
+        a, c = c, a
+
+
+# the nine cells around a rounded point, as offsets in the reduced basis
+_CELL_STEPS = np.array([(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)], dtype=float).T
+
+
 def nearest_lattice_point(z, tau):
     """Nearest point of Lambda = 2*pi*i*(Z*tau + Z) to z (vectorised).
 
-    Returns (lam, m, n) with lam = 2*pi*i*(m*tau + n).  The pair (m, n) is
-    obtained by rounding the real coordinates of z in the lattice basis; this
-    gives the nearest point up to the usual rounding ambiguity of oblique
-    lattices, which is refined by a local search over neighbouring cells.
+    Returns (lam, m, n) with lam = 2*pi*i*(m*tau + n).  z is rounded to the
+    nearest point in a reduced basis (u, v) of the lattice and the nine
+    neighbouring points are compared, which finds the nearest point for any
+    tau in the upper half plane.
     """
-    z = np.asarray(z, dtype=complex)
-    u = z / TWO_PI_I  # z = 2*pi*i*(m*tau + n) <=> u = m*tau + n
-    m0 = np.rint(np.imag(u) / np.imag(tau))
-    n0 = np.rint(np.real(u) - m0 * np.real(tau))
-    best = None
-    for dm in (-1, 0, 1):
-        for dn in (-1, 0, 1):
-            m = m0 + dm
-            n = n0 + dn
-            lam = TWO_PI_I * (m * tau + n)
-            d = np.abs(z - lam)
-            if best is None:
-                best = (d, lam, m, n)
-            else:
-                take = d < best[0]
-                best = (
-                    np.where(take, d, best[0]),
-                    np.where(take, lam, best[1]),
-                    np.where(take, m, best[2]),
-                    np.where(take, n, best[3]),
-                )
-    return best[1], best[2], best[3]
+    (n1, m1), (n2, m2) = _reduced_basis(tau)
+    u, v = n1 + m1 * tau, n2 + m2 * tau
+    s = np.asarray(z, dtype=complex) / TWO_PI_I  # s = e1*u + e2*v
+    e1 = (np.conj(v) * s).imag / (np.conj(v) * u).imag
+    e2 = (np.conj(u) * s).imag / (np.conj(u) * v).imag
+    c1, c2 = np.rint(e1), np.rint(e2)
+    # squared distance to each neighbour, |g1*u + g2*v|^2, from the Gram matrix
+    g1 = (e1 - c1)[..., None] - _CELL_STEPS[0]
+    g2 = (e2 - c2)[..., None] - _CELL_STEPS[1]
+    uv = (u * np.conj(v)).real
+    dist2 = abs(u) ** 2 * g1**2 + 2.0 * uv * g1 * g2 + abs(v) ** 2 * g2**2
+    j = np.argmin(dist2, axis=-1)
+    c1 = c1 + _CELL_STEPS[0][j]
+    c2 = c2 + _CELL_STEPS[1][j]
+    m = c1 * m1 + c2 * m2
+    n = c1 * n1 + c2 * n2
+    return TWO_PI_I * (m * tau + n), m, n
 
 
 def lattice_min_distance(tau):
     """D(q): length of the shortest non-zero vector of 2*pi*i*(Z*tau + Z)."""
     _check_tau(tau)
-    best = np.inf
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            if m == 0 and n == 0:
-                continue
-            best = min(best, abs(TWO_PI_I * (m * tau + n)))
-    return best
+    (n1, m1), _ = _reduced_basis(tau)
+    return abs(TWO_PI_I * (m1 * tau + n1))
+
+
+def _check_off_lattice(z, tau, what):
+    lam, _, _ = nearest_lattice_point(z, tau)
+    if np.any(np.abs(z - lam) < 1e-12 * lattice_min_distance(tau)):
+        raise ValueError(f"{what} evaluated at (numerically) a lattice point")
+
+
+def _theta_range(alpha, re_zz, tau, b):
+    """Summation points nu = n + alpha of a theta series whose linear
+    coefficients zz have real parts re_zz (any shape).
+
+    The terms have modulus exp(-pi*t*nu^2 + a*nu), largest at a/(2*pi*t);
+    the range reaches W = sqrt((_LOG_EPS + log 2)/(pi*t)) + 1 beyond the
+    centres of every a, which puts the two tails below round-off, and it
+    always contains |n| <= b.lattice_cutoff.
+    """
+    t = np.imag(tau)
+    half = np.sqrt((_LOG_EPS + log(2.0)) / (np.pi * t)) + 1.0
+    alpha_re = float(np.real(alpha))
+    lo = floor(np.min(re_zz, initial=0.0) / (2.0 * np.pi * t) - half - alpha_re)
+    hi = ceil(np.max(re_zz, initial=0.0) / (2.0 * np.pi * t) + half - alpha_re)
+    n = np.arange(min(lo, -b.lattice_cutoff), max(hi, b.lattice_cutoff) + 1, dtype=float)
+    return n + alpha
 
 
 def theta_char_g1(alpha, beta, z, tau, b=None):
@@ -125,21 +190,44 @@ def theta_char_g1(alpha, beta, z, tau, b=None):
     """
     b = _budget(b)
     _check_tau(tau)
-    z = np.asarray(z, dtype=complex)
-    zz = z[..., None] + TWO_PI_I * beta
+    zz = np.asarray(z, dtype=complex) + TWO_PI_I * beta
+    nu = _theta_range(alpha, zz.real, tau, b)
+    val = np.exp(1j * np.pi * nu**2 * tau + nu * zz[..., None]).sum(axis=-1)
+    return val if val.shape else complex(val)
 
-    cutoff = max(4, b.lattice_cutoff)
-    prev = None
-    for _ in range(_MAX_DOUBLINGS + 1):
-        n = np.arange(-cutoff, cutoff + 1, dtype=float) + alpha
-        val = np.exp(1j * np.pi * n**2 * tau + n * zz).sum(axis=-1)
-        if prev is not None:
-            scale = np.maximum(np.abs(val), 1e-300)
-            if np.max(np.abs(val - prev) / scale) < b.rel_tol:
-                return val if val.shape else complex(val)
-        prev = val
-        cutoff *= 2
-    return prev if prev.shape else complex(prev)
+
+def _is_grid(x, y):
+    """True when x is a column (M, 1) and y a row (1, K)."""
+    return np.ndim(x) == 2 and np.ndim(y) == 2 and np.shape(x)[1] == 1 and np.shape(y)[0] == 1
+
+
+def theta_char_g1_diff(alpha, beta, x, y, tau, b=None):
+    """theta[alpha; beta](x - y, tau) for broadcastable x and y.
+
+    For a column x (M, 1) and a row y (1, K) the lattice sum separates,
+
+        theta[alpha; beta](x_i - y_j)
+            = sum_n e^(i*pi*nu^2*tau + nu*(x_i + 2*pi*i*beta)) * e^(-nu*y_j),
+
+    nu = n + alpha, and the M x K grid is one (M x n)(n x K) matrix
+    product.  Any other shapes are evaluated pointwise by theta_char_g1.
+    """
+    if not _is_grid(x, y):
+        return theta_char_g1(alpha, beta, np.asarray(x) - np.asarray(y), tau, b)
+    b = _budget(b)
+    _check_tau(tau)
+    xx = np.asarray(x, dtype=complex)[:, 0] + TWO_PI_I * beta
+    yy = np.asarray(y, dtype=complex)[0]
+    # the real parts of xx_i - y_j lie in [lo, hi]
+    lo = np.min(xx.real, initial=0.0) - np.max(yy.real, initial=0.0)
+    hi = np.max(xx.real, initial=0.0) - np.min(yy.real, initial=0.0)
+    nu = _theta_range(alpha, np.array([lo, hi]), tau, b)
+    left = np.exp(1j * np.pi * nu**2 * tau + np.multiply.outer(xx, nu))
+    # subnormal Gaussian factors are far below round-off of the sum, and they
+    # slow the matrix product down many times over
+    left[np.abs(left) < np.finfo(float).tiny] = 0.0
+    right = np.exp(-np.multiply.outer(nu, yy))
+    return left @ right
 
 
 def theta1(z, tau, b=None):
@@ -151,16 +239,8 @@ def theta1_prime0(tau, b=None):
     """z-derivative of theta1 at z = 0 (term-wise differentiated series)."""
     b = _budget(b)
     _check_tau(tau)
-    cutoff = max(4, b.lattice_cutoff)
-    prev = None
-    for _ in range(_MAX_DOUBLINGS + 1):
-        n = np.arange(-cutoff, cutoff + 1, dtype=float) + 0.5
-        val = np.sum(n * np.exp(1j * np.pi * n**2 * tau + 1j * np.pi * n))
-        if prev is not None and abs(val - prev) < b.rel_tol * abs(val):
-            return complex(val)
-        prev = val
-        cutoff *= 2
-    return complex(prev)
+    nu = _theta_range(0.5, 0.0, tau, b)
+    return complex(np.sum(nu * np.exp(1j * np.pi * nu**2 * tau + 1j * np.pi * nu)))
 
 
 def prime_form_K(z, tau, b=None):
@@ -171,38 +251,81 @@ def prime_form_K(z, tau, b=None):
     caller almost certainly divides by the result.
     """
     z = np.asarray(z, dtype=complex)
-    lam, _, _ = nearest_lattice_point(z, tau)
-    d = np.abs(z - lam)
-    if np.any(d < 1e-12 * lattice_min_distance(tau)):
-        raise ValueError("prime_form_K evaluated at (numerically) a lattice point")
+    _check_off_lattice(z, tau, "prime_form_K")
     val = theta1(z, tau, b) / theta1_prime0(tau, b)
     return val if np.ndim(val) else complex(val)
+
+
+def prime_form_K_diff(x, y, tau, b=None):
+    """K(x - y, tau) for broadcastable x and y, with the lattice check of
+    prime_form_K on every pair; a column x and a row y are evaluated as a
+    product grid (see theta_char_g1_diff)."""
+    z = np.asarray(x) - np.asarray(y)
+    if not _is_grid(x, y):
+        return prime_form_K(z, tau, b)
+    _check_off_lattice(z, tau, "prime_form_K")
+    return theta_char_g1_diff(0.5, 0.5, x, y, tau, b) / theta1_prime0(tau, b)
 
 
 def dedekind_eta(tau, b=None):
     """Dedekind eta, q^(1/24) * prod_{n>=1} (1 - q^n).
 
-    The product is expanded with the pentagonal number theorem, so very few
-    terms are needed even for moderately small Im(tau).
+    The product is expanded with the pentagonal number theorem; its terms
+    q^e are kept up to the order e at which the geometric tail
+    |q|^e / (1 - |q|) is below round-off.
     """
     b = _budget(b)
     _check_tau(tau)
     q = np.exp(TWO_PI_I * tau)
-    order = max(8, b.qseries_cutoff)
-    prev = None
-    for _ in range(_MAX_DOUBLINGS + 1):
-        total = 1.0 + 0.0j
-        m = 1
-        while m * (3 * m - 1) // 2 <= order:
-            total += (-1) ** m * (q ** (m * (3 * m - 1) // 2) + q ** (m * (3 * m + 1) // 2))
-            m += 1
-        if prev is not None and abs(total - prev) < b.rel_tol * abs(total):
-            break
-        prev = total
-        order *= 2
+    t = np.imag(tau)
+    tail = _LOG_EPS - np.log1p(-abs(q))
+    order = max(b.qseries_cutoff, ceil(tail / (2.0 * np.pi * t)))
+    total = 1.0 + 0.0j
+    m = 1
+    while m * (3 * m - 1) // 2 <= order:
+        total += (-1) ** m * (q ** (m * (3 * m - 1) // 2) + q ** (m * (3 * m + 1) // 2))
+        m += 1
     # q^(1/24) taken as exp(2*pi*i*tau/24) so that eta(tau + 1) carries the
     # standard phase exp(i*pi/12) rather than being periodic in tau
     return np.exp(TWO_PI_I * tau / 24.0) * total
+
+
+def eisenstein_hat(kmax, tau, b=None):
+    """Table of the scaled Eisenstein series Ehat_k = (2*pi)^k * E_k(tau),
+    k = 0..kmax, as an array indexed by k (zero at odd k and at k < 2).
+
+    From the Lambert series of E_k (see eisenstein),
+
+        Ehat_k = (-1)^(k/2) * 2*zeta(k)
+                 + (2*(2*pi)^k/(k-1)!) * sum_{d>=1} d^(k-1) q^d/(1 - q^d),
+
+    and every term is formed as the exponential of its logarithm, so no
+    power of 2*pi or factorial overflows on its own.  Past
+    d0 = (kmax - 1)/(pi*Im(tau)) each term is below exp(-pi*Im(tau)) times
+    the one before, which fixes the number of terms in advance.
+    """
+    b = _budget(b)
+    _check_tau(tau)
+    t = np.imag(tau)
+    out = np.zeros(kmax + 1, dtype=complex)
+    k = np.arange(2, kmax + 1, 2)
+    if not k.size:
+        return out
+    d0 = max(1, ceil((kmax - 1) / (np.pi * t)))
+    # log |term| at d0 for every k, with |1/(1 - q^d0)| <= 1/(1 - |q|^d0)
+    x0 = 2.0 * np.pi * t * d0
+    log_d0 = (k - 1) * log(2.0 * np.pi * d0) + LOG_2PI - gammaln(k) - x0 - np.log1p(-np.exp(-x0))
+    peak = np.max(log_d0) + _LOG_EPS - np.log1p(-np.exp(-np.pi * t))
+    d_max = max(b.qseries_cutoff, d0 + max(0, ceil(peak / (np.pi * t))))
+    d = np.arange(1, d_max + 1)
+    log_lambert = TWO_PI_I * tau * d - np.log1p(-np.exp(TWO_PI_I * tau * d))
+    logs = (
+        np.multiply.outer(k - 1, np.log(2.0 * np.pi * d))
+        + (LOG_2PI - gammaln(k))[:, None]
+        + log_lambert[None, :]
+    )
+    out[k] = (-1.0) ** (k // 2) * 2.0 * zeta(k) + 2.0 * np.exp(logs).sum(axis=1)
+    return out
 
 
 def eisenstein(k, tau, b=None):
@@ -211,36 +334,45 @@ def eisenstein(k, tau, b=None):
     weierstrass_P): P_2(tau, z) - 1/z^2 = sum_{k>=2} (k-1) E_k(tau) z^(k-2).
 
     Concretely E_k = -B_k/k! + (2/(k-1)!) * sum_{n>=1} sigma_{k-1}(n) q^n for
-    even k >= 2 (E_2 = -1/12 + 2q + ...), and E_k = 0 for odd k.  The constant
-    term is evaluated through zeta(k) to stay stable at large k.
+    even k >= 2 (E_2 = -1/12 + 2q + ...), and E_k = 0 for odd k.  The value
+    is read from the table eisenstein_hat.
     """
-    b = _budget(b)
     _check_tau(tau)
     if k < 2:
         raise ValueError("eisenstein requires k >= 2")
     if k % 2 == 1:
         return 0.0j
-    q = np.exp(TWO_PI_I * tau)
-    # -B_k/k! = (-1)^(k/2) * 2 * zeta(k) / (2*pi)^k for even k
-    const = (-1) ** (k // 2) * 2.0 * zeta(k) / (2.0 * np.pi) ** k
+    return complex(eisenstein_hat(k, tau, b)[k] * (2.0 * np.pi) ** -k)
 
-    order = max(8, b.qseries_cutoff)
-    prev = None
-    lgk = lgamma(k)
-    for _ in range(_MAX_DOUBLINGS + 1):
-        ns = np.arange(1, order + 1)
-        # sigma_{k-1}(n)/(k-1)! assembled divisor-by-divisor in log space
-        sig = np.zeros(order + 1)
-        for d in range(1, order + 1):
-            w = np.exp((k - 1) * log(d) - lgk)
-            sig[d::d] += w
-        qsum = 2.0 * np.sum(sig[1:] * q**ns)
-        val = const + qsum
-        if prev is not None and abs(val - prev) <= b.rel_tol * max(abs(val), 1e-300):
-            return complex(val)
-        prev = val
-        order *= 2
-    return complex(prev)
+
+def weierstrass_P_orders(ms, z, tau, ehat, b=None):
+    """P_m(tau, z) for every order m in the integer array ms, from a table
+    ehat = eisenstein_hat(kmax, tau) with kmax >= max(ms) + 399.
+
+    Each Laurent series (see weierstrass_P) is summed over its first
+    _LAURENT_TERMS terms and stopped after three consecutive terms below
+    b.rel_tol relative to the partial sum; a series that does not stop
+    raises RuntimeError.
+    """
+    b = _budget(b)
+    _check_tau(tau)
+    z = complex(z)
+    lam, _, _ = nearest_lattice_point(z, tau)
+    z = z - complex(lam)
+    if abs(z) < 1e-12 * lattice_min_distance(tau):
+        raise ValueError("weierstrass_P evaluated at a lattice point")
+    m = np.asarray(ms, dtype=int).reshape(-1, 1)
+    k = m + m % 2 + 2 * np.arange(_LAURENT_TERMS)
+    # ((-1)^m/(m-1)!) (k-1)!/(k-m)! E_k z^(k-m)
+    #     = (-1)^m C(k-1, m-1) Ehat_k (z/(2*pi))^(k-m) (2*pi)^(-m)
+    log_coef = gammaln(k) - gammaln(k - m + 1) - gammaln(m) + (k - m) * np.log(z / (2.0 * np.pi))
+    terms = (-1.0) ** m * (2.0 * np.pi) ** -m * np.exp(log_coef) * ehat[k]
+    totals = z**-m + np.cumsum(terms, axis=1)
+    small = np.abs(terms) < b.rel_tol * np.maximum(np.abs(totals), 1e-300)
+    stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+    if not stop.any(axis=1).all():
+        raise RuntimeError("weierstrass_P series did not converge; |z| too close to D(q)?")
+    return totals[np.arange(len(m)), stop.argmax(axis=1) + 2]
 
 
 def weierstrass_P(m, z, tau, b=None):
@@ -255,34 +387,8 @@ def weierstrass_P(m, z, tau, b=None):
     z is reduced modulo the lattice to the representative nearest the origin
     before the Laurent series is summed.
     """
-    b = _budget(b)
-    _check_tau(tau)
-    z = complex(z)
-    lam, _, _ = nearest_lattice_point(z, tau)
-    z = z - complex(lam)
-    if abs(z) < 1e-12 * lattice_min_distance(tau):
-        raise ValueError("weierstrass_P evaluated at a lattice point")
-
-    total = z ** (-m)
-    sign = (-1) ** m
-    lgm = lgamma(m)
-    k = m if m % 2 == 0 else m + 1
-    tail = 0.0
-    consecutive_small = 0
-    while k < m + 400:
-        ek = eisenstein(k, tau, b)
-        coef = sign * (k - 1) * np.exp(lgamma(k - 1) - lgamma(k - m + 1) - lgm)
-        term = coef * ek * z ** (k - m)
-        total += term
-        tail = abs(term)
-        if tail < b.rel_tol * max(abs(total), 1e-300):
-            consecutive_small += 1
-            if consecutive_small >= 3:
-                return complex(total)
-        else:
-            consecutive_small = 0
-        k += 2
-    raise RuntimeError("weierstrass_P series did not converge; |z| too close to D(q)?")
+    ehat = eisenstein_hat(m + 2 * _LAURENT_TERMS, tau, b)
+    return complex(weierstrass_P_orders([m], z, tau, ehat, b)[0])
 
 
 def twisted_P1(theta_mult, phi_mult, z, tau, b=None):
@@ -318,7 +424,10 @@ def theta_char_g2(alpha, beta, Omega, b=None):
                             + (n+alpha).(2*pi*i*beta) ).
 
     Omega is a symmetric 2x2 period matrix with positive-definite imaginary
-    part.
+    part Y.  Terms outside the ellipse pi*nu.Y.nu <= _LOG_EPS + log 2 are
+    below round-off; along axis i that ellipse reaches
+    |nu_i| <= sqrt((_LOG_EPS + log 2) * (Y^-1)_ii / pi), and one more term is
+    kept on each side.
     """
     b = _budget(b)
     Omega = np.asarray(Omega, dtype=complex)
@@ -332,18 +441,9 @@ def theta_char_g2(alpha, beta, Omega, b=None):
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
 
-    cutoff = max(4, b.lattice_cutoff)
-    prev = None
-    for _ in range(_MAX_DOUBLINGS + 1):
-        r = np.arange(-cutoff, cutoff + 1)
-        n1, n2 = np.meshgrid(r + alpha[0], r + alpha[1], indexing="ij")
-        quad = (
-            Omega[0, 0] * n1**2 + 2.0 * Omega[0, 1] * n1 * n2 + Omega[1, 1] * n2**2
-        )
-        lin = TWO_PI_I * (beta[0] * n1 + beta[1] * n2)
-        val = np.sum(np.exp(1j * np.pi * quad + lin))
-        if prev is not None and abs(val - prev) <= b.rel_tol * max(abs(val), 1e-300):
-            return complex(val)
-        prev = val
-        cutoff *= 2
-    return complex(prev)
+    reach = np.sqrt((_LOG_EPS + log(2.0)) * np.diag(np.linalg.inv(im)) / np.pi) + 1.0
+    r1, r2 = (np.arange(-c, c + 1) for c in np.maximum(np.ceil(reach), b.lattice_cutoff))
+    n1, n2 = np.meshgrid(r1 + alpha[0], r2 + alpha[1], indexing="ij")
+    quad = Omega[0, 0] * n1**2 + 2.0 * Omega[0, 1] * n1 * n2 + Omega[1, 1] * n2**2
+    lin = TWO_PI_I * (beta[0] * n1 + beta[1] * n2)
+    return complex(np.sum(np.exp(1j * np.pi * quad + lin)))

@@ -39,8 +39,10 @@ from .elliptic import (
     lattice_min_distance,
     nearest_lattice_point,
     prime_form_K,
+    prime_form_K_diff,
     theta1,
     theta_char_g1,
+    theta_char_g1_diff,
 )
 
 COINCIDENCE_RTOL = 1e-8
@@ -225,11 +227,12 @@ def _log_A_circle(side, r, M, sew, b):
 
 def theta_ratio_core(x, y, sew, tw, b=None):
     """Single-valued core theta[a1; b1](x-y+kappa*w) /
-    (theta[a1; b1](kappa*w) * K(x-y)); broadcasts over x, y."""
-    tau, w = sew.tau, sew.w
-    den0 = theta_char_g1(tw.alpha1, tw.beta1, tw.kappa * w, tau, b)
-    num = theta_char_g1(tw.alpha1, tw.beta1, x - y + tw.kappa * w, tau, b)
-    return num / (den0 * prime_form_K(x - y, tau, b))
+    (theta[a1; b1](kappa*w) * K(x-y)); broadcasts over x, y, and a column x
+    with a row y is evaluated as a product grid."""
+    tau, c = sew.tau, tw.kappa * sew.w
+    den0 = theta_char_g1(tw.alpha1, tw.beta1, c, tau, b)
+    num = theta_char_g1_diff(tw.alpha1, tw.beta1, np.asarray(x) + c, y, tau, b)
+    return num / (den0 * prime_form_K_diff(x, y, tau, b))
 
 
 def _check_coincidence(x, y, sew):

@@ -1,0 +1,216 @@
+"""The series engine against plain references: the product-grid theta
+against a per-point loop and a 30-digit mpmath sum, the scaled Eisenstein
+table and P_2 against mpmath, and the lattice helpers against brute force.
+
+Tolerances come from the round-off of a double-precision lattice sum: a
+term exp(arg) carries a relative error of a few eps * (1 + |arg|), so two
+evaluations of one series may differ by about eps * sum_n (1 + |arg_n|)
+* |term_n|.  The tests allow 16 times that.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from sewkernel import (
+    SewingConfig,
+    lattice_min_distance,
+    nearest_lattice_point,
+    theta_char_g1,
+    weierstrass_P,
+    z2_heisenberg,
+)
+from sewkernel.elliptic import dedekind_eta, eisenstein_hat, theta_char_g1_diff
+
+EPS = np.finfo(float).eps
+TWO_PI_I = 2j * np.pi
+
+mp.mp.dps = 30
+
+
+def _mpc(z):
+    z = complex(z)
+    return mp.mpc(z.real, z.imag)
+
+
+def _terms(alpha, beta, z, tau, half=80):
+    """Exponents of the theta terms around the largest one."""
+    zz = complex(z) + TWO_PI_I * complex(beta)
+    centre = round(zz.real / (2.0 * np.pi * tau.imag) - alpha)
+    nu = np.arange(centre - half, centre + half + 1) + alpha
+    return 1j * np.pi * nu**2 * tau + nu * zz
+
+
+def _roundoff(alpha, beta, z, tau):
+    """16 * eps * sum_n (1 + |arg_n|) * |exp(arg_n)|."""
+    arg = _terms(alpha, beta, z, tau)
+    return 16.0 * EPS * np.sum((1.0 + np.abs(arg)) * np.exp(arg.real))
+
+
+def _theta_mp(alpha, beta, z, tau):
+    """theta[alpha; beta](z, tau) summed term by term at 30 digits."""
+    alpha, beta, z, tau = mp.mpf(alpha), _mpc(beta), _mpc(z), _mpc(tau)
+    zz = z + 2j * mp.pi * beta
+    centre = int(mp.nint(mp.re(zz) / (2 * mp.pi * mp.im(tau)) - alpha))
+    return mp.fsum(
+        mp.exp(1j * mp.pi * (n + alpha) ** 2 * tau + (n + alpha) * zz)
+        for n in range(centre - 90, centre + 91)
+    )
+
+
+GRID_CASES = [
+    # alpha, beta, tau, centre of x, centre of y
+    (0.15, 0.25, 0.3 + 1.1j, 1.0 + 0.8j, 0.0),
+    (-0.35, 0.2 - 0.15j, 0.21 + 0.05j, 8.0 + 0.3j, 0.2j),
+    (0.5, 0.5, -0.4 + 0.05j, -8.1 + 0.4j, 0.3),
+    (0.0, -0.3 + 0.4j, 2.7 + 0.6j, 0.5j, -7.9 - 0.2j),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, tau, cx, cy", GRID_CASES)
+def test_theta_grid_matches_pointwise_loop(alpha, beta, tau, cx, cy):
+    ang = 2.0 * np.pi * np.arange(12) / 12
+    x = (cx + 0.7 * np.exp(1j * ang))[:, None]
+    y = (cy + 0.4 * np.exp(1j * (ang + 0.1)))[None, :]
+    grid = theta_char_g1_diff(alpha, beta, x, y, tau)
+    assert grid.shape == (12, 12)
+    for i in range(12):
+        for j in range(12):
+            z = x[i, 0] - y[0, j]
+            ref = theta_char_g1(alpha, beta, z, tau)
+            assert abs(grid[i, j] - ref) <= _roundoff(alpha, beta, z, tau)
+
+
+@pytest.mark.parametrize("alpha, beta, tau, cx, cy", GRID_CASES)
+def test_theta_grid_matches_mpmath(alpha, beta, tau, cx, cy):
+    x = (cx + np.array([0.0, 0.5j, -0.6]))[:, None]
+    y = (cy + np.array([0.0, 0.3 - 0.2j]))[None, :]
+    grid = theta_char_g1_diff(alpha, beta, x, y, tau)
+    for i in range(x.shape[0]):
+        for j in range(y.shape[1]):
+            z = x[i, 0] - y[0, j]
+            ref = complex(_theta_mp(alpha, beta, z, tau))
+            assert abs(grid[i, j] - ref) <= _roundoff(alpha, beta, z, tau)
+            assert abs(theta_char_g1(alpha, beta, z, tau) - ref) <= _roundoff(alpha, beta, z, tau)
+
+
+def test_theta_grid_is_selected_by_shape_only():
+    # a column against a row is the grid; any other shapes broadcast pointwise
+    tau = 0.3 + 1.1j
+    x = np.array([0.2 + 0.1j, 0.5 - 0.3j])
+    y = np.array([0.1j, -0.4 + 0.2j])
+    flat = theta_char_g1_diff(0.1, 0.2, x, y, tau)
+    assert flat.shape == (2,)
+    grid = theta_char_g1_diff(0.1, 0.2, x[:, None], y[None, :], tau)
+    assert abs(np.diag(grid) - flat).max() < 1e-14
+
+
+def _ehat_mp(k, tau):
+    """(2*pi)^k * E_k(tau) from -B_k/k! + (2/(k-1)!) sum_n sigma_{k-1}(n) q^n,
+    with the divisor sums taken directly, at 30 digits; also returns the sum
+    of the moduli of the scaled terms, which sets the round-off of any
+    double-precision evaluation of the series."""
+    tau = _mpc(tau)
+    q = mp.exp(2j * mp.pi * tau)
+    total = -mp.bernoulli(k) / mp.factorial(k)
+    size = abs(total)
+    scale = 2 / mp.factorial(k - 1)
+    n = 1
+    while True:
+        sigma = mp.fsum(mp.mpf(d) ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+        term = scale * sigma * q**n
+        total += term
+        size += abs(term)
+        if n > k and abs(term) < mp.mpf(10) ** -40 * size:
+            break
+        n += 1
+    return (2 * mp.pi) ** k * total, (2 * mp.pi) ** k * size
+
+
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.2 + 0.6j])
+@pytest.mark.parametrize("k", [2, 4, 30, 100, 200, 400])
+def test_eisenstein_hat_against_mpmath(k, tau):
+    # each term is formed as exp(log), which costs about eps * k * log(2*pi*d*k)
+    # relative to the term: the tolerance is 1e-14 * k times the sum of the
+    # term moduli.  At Im(tau) = 1.1 that sum is |Ehat_k| itself; at
+    # tau = -0.2 + 0.6i the terms cancel and it exceeds |Ehat_400| by 1e10.
+    table = eisenstein_hat(k, tau)
+    ref, size = _ehat_mp(k, tau)
+    assert np.isfinite(table[k])
+    assert abs(table[k] - complex(ref)) < 1e-14 * k * float(size)
+
+
+def test_eisenstein_hat_odd_and_low_orders_vanish():
+    table = eisenstein_hat(9, 0.3 + 1.1j)
+    assert table.shape == (10,)
+    assert np.all(table[[0, 1, 3, 5, 7, 9]] == 0.0)
+
+
+def _P2_mp(z, tau):
+    """-d^2/dz^2 log theta_1(z) through mpmath's Jacobi theta function:
+    theta[1/2; 1/2](z) = jtheta(1, i*z/2, exp(i*pi*tau)) up to a constant."""
+    v, nome = 1j * _mpc(z) / 2, mp.exp(1j * mp.pi * _mpc(tau))
+    j0, j1, j2 = (mp.jtheta(1, v, nome, d) for d in (0, 1, 2))
+    return (j2 / j0 - (j1 / j0) ** 2) / 4
+
+
+@pytest.mark.parametrize(
+    "z, tau",
+    [
+        (0.8 + 0.6j, 0.3 + 1.1j),
+        (-4.1 + 2.6j, 0.13 + 1.31j),  # 0.72 * D(q) from its nearest lattice point
+        (1.3 - 0.9j, 10.0 + 0.5j),  # tau far from the fundamental domain
+        (0.4 + 0.2j, -0.45 + 0.35j),
+    ],
+)
+def test_weierstrass_P2_against_mpmath(z, tau):
+    # the Laurent series stops at relative size rel_tol = 1e-12
+    ref = complex(_P2_mp(z, tau))
+    assert abs(weierstrass_P(2, z, tau) / ref - 1.0) < 1e-11
+
+
+def test_z2_heisenberg_far_from_the_lattice():
+    # w at 0.72 * D(q) from the lattice: the Laurent series of P_30 runs past
+    # order 385, where (2*pi)^k alone overflows a double
+    sew = SewingConfig(0.13 + 1.31j, -4.1 + 2.6j, 1e-4)
+    zh = z2_heisenberg(sew, N=16)
+    lead = 1.0 - sew.rho * complex(_P2_mp(sew.w, sew.tau))
+    assert abs(zh * dedekind_eta(sew.tau) - lead) < 4.0 * abs(sew.rho) ** 2
+
+
+# ------------------------------------------------------------------ lattice
+
+FAR_TAUS = [10.0 + 0.5j, -7.3 + 0.2j, 0.5 + 0.05j, 3.1 + 4.0j, 0.49 + 0.3j, -1.0 / (0.3 + 1.1j)]
+
+
+def _brute_lattice(tau, radius):
+    """All points 2*pi*i*(m*tau + n) of modulus below radius."""
+    mmax = math.ceil(radius / (2.0 * np.pi * tau.imag)) + 1
+    nmax = math.ceil(radius / (2.0 * np.pi) + mmax * abs(tau.real)) + 1
+    m, n = np.meshgrid(np.arange(-mmax, mmax + 1), np.arange(-nmax, nmax + 1))
+    pts = TWO_PI_I * (m * tau + n)
+    return pts[np.abs(pts) < radius]
+
+
+def test_lattice_min_distance_of_a_skewed_basis():
+    assert abs(lattice_min_distance(10.0 + 0.5j) - np.pi) < 1e-12
+
+
+@pytest.mark.parametrize("tau", FAR_TAUS)
+def test_lattice_min_distance_against_brute_force(tau):
+    pts = _brute_lattice(tau, 2.0 * np.pi + 1.0)  # 2*pi*i is a lattice vector
+    ref = np.min(np.abs(pts[np.abs(pts) > 0]))
+    assert abs(lattice_min_distance(tau) - ref) < 1e-12 * ref
+
+
+@pytest.mark.parametrize("tau", FAR_TAUS)
+def test_nearest_lattice_point_against_brute_force(tau):
+    rng = np.random.default_rng(5)
+    z = 12.0 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    lam, m, n = nearest_lattice_point(z, tau)
+    assert np.allclose(lam, TWO_PI_I * (m * tau + n), rtol=0, atol=1e-12)
+    pts = _brute_lattice(tau, np.max(np.abs(z)) + 2.0 * np.pi + 1.0)
+    ref = np.min(np.abs(z[:, None] - pts[None, :]), axis=1)
+    assert np.all(np.abs(z - lam) <= ref + 1e-12)
