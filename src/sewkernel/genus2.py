@@ -5,25 +5,26 @@ The sewn kernel is assembled from the genus-one data as
     S2(x, y) = S_kappa(x, y) + xi * h(x) . D^(theta2) . (I - T)^(-1) . hbar(y)
 
 with half-order moment vectors h_a(x, k) = rho^((k_a - 1/2)/2) d_a(x, k) and
-hbar_a(y, k) = rho^((k_a - 1/2)/2) dbar_a(y, k).  The multiplier system across
-the sewing handle is checked by sewing_multiplier_residual.
+hbar_a(y, k) = rho^((k_a - 1/2)/2) dbar_a(y, k), both taken from the one
+contour extractor szego.half_diff.  s2_eval accepts arrays of points and then
+extracts each point once and solves with I - T once for the whole matrix
+[S2(x_i, y_j)].  The multiplier system across the sewing handle is checked by
+sewing_multiplier_residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .elliptic import DEFAULT_BUDGET
+from .elliptic import nearest_lattice_point
 from .szego import (
     build_T,
     half_diff,
-    half_diff_bar,
     principal_branch_winding,
     puncture_center,
+    puncture_distance,
     rho_half_powers,
     s_kappa,
     theta2_weights,
@@ -32,7 +33,10 @@ from .szego import (
 
 @dataclass(frozen=True)
 class KernelEval:
-    """Kernel value together with the truncation order and quadrature size."""
+    """Kernel value together with the truncation order and quadrature size.
+
+    value is S2(x, y) for scalar points, and the matrix [S2(x_i, y_j)] when
+    either point argument is an array."""
 
     value: complex
     N: int
@@ -44,66 +48,64 @@ def domain_check(tau, w, rho):
 
         |w - lam| > 2*|rho|^(1/2) > 0   for all lam in 2*pi*i*(Z*tau + Z).
 
-    Returns (ok, margin, lam_worst) where margin = min |w - lam| - 2*|rho|^(1/2).
+    Returns (ok, margin, lam_worst) where margin = min |w - lam| - 2*|rho|^(1/2),
+    attained at the lattice point lam_worst nearest to w.
     """
-    if np.imag(tau) <= 0:
+    if np.imag(tau) <= 0 or rho == 0:
         return False, -np.inf, None
-    if rho == 0:
-        return False, -np.inf, None
-    radius = 2.0 * np.sqrt(abs(rho))
-    # enumerate every lattice point that could come within reach of w
-    span = abs(w) + radius + 4.0 * np.pi * (1.0 + abs(tau))
-    mmax = int(np.ceil(span / (2.0 * np.pi * np.imag(tau)))) + 2
-    nmax = int(np.ceil(span / (2.0 * np.pi))) + 2
-    worst = None
-    margin = np.inf
-    for m in range(-mmax, mmax + 1):
-        for n in range(-nmax, nmax + 1):
-            lam = 2j * np.pi * (m * tau + n)
-            d = abs(w - lam) - radius
-            if d < margin:
-                margin = d
-                worst = lam
-    return margin > 0.0, margin, worst
+    lam, _, _ = nearest_lattice_point(w, tau)
+    margin = float(abs(w - lam) - 2.0 * np.sqrt(abs(rho)))
+    return margin > 0.0, margin, complex(lam)
 
 
-@lru_cache(maxsize=128)
-def _resolvent_lu(N, quad_M, sew, tw, budget):
-    T = build_T(N, sew, tw, quad_M, budget)
-    return lu_factor(np.eye(2 * N) - T)
+def h_rows(points, N, sew, tw, quad_M=256, b=None, bar=False):
+    """Rows h(x) (bar=False) or hbar(y) (bar=True) over the flattened (a, k)
+    index: a vector for a scalar point, one row per point for an array."""
+    parts = [
+        rho_half_powers(N, a, sew, tw) * half_diff(a, points, N, sew, tw, quad_M, b, bar)
+        for a in (1, 2)
+    ]
+    return np.concatenate(parts, axis=-1)
 
 
-def h_row(x, N, sew, tw, quad_M=256, b=None):
-    """Row vector h(x) over the flattened (a, k) index."""
-    parts = []
+def _check_convergence(xs, ys, sew):
+    """Raise where the correction series of S2 diverges: for some pair and
+    some a, x lies within r_a of a translate of puncture a, y within r_abar
+    of a translate of puncture abar, and |x_loc| * |y_loc| <= |rho|.  The
+    extractions then grow like (|x_loc| |y_loc|)^(-k) against rho^k."""
     for a in (1, 2):
-        d = half_diff(a, x, N, sew, tw, quad_M, b)
-        parts.append(rho_half_powers(N, a, sew, tw) * d)
-    return np.concatenate(parts)
-
-
-def hbar_row(y, N, sew, tw, quad_M=256, b=None):
-    """Row vector hbar(y) over the flattened (a, k) index."""
-    parts = []
-    for a in (1, 2):
-        d = half_diff_bar(a, y, N, sew, tw, quad_M, b)
-        parts.append(rho_half_powers(N, a, sew, tw) * d)
-    return np.concatenate(parts)
+        ra, rb = (sew.r1, sew.r2) if a == 1 else (sew.r2, sew.r1)
+        dx = puncture_distance(xs, a, sew)[:, None]
+        dy = puncture_distance(ys, 3 - a, sew)[None, :]
+        if np.any((dx < ra) & (dy < rb) & (dx * dy <= abs(sew.rho))):
+            raise ValueError(
+                "S2 correction series diverges: |x_loc| * |y_loc| <= |rho| "
+                f"for a point pair near punctures {a} and {3 - a}"
+            )
 
 
 def s2_eval(x, y, sew, tw, N=16, quad_M=256, b=None):
     """Genus-two Szego kernel S2(x, y) on the sewn surface (coordinate form
-    in the uniformising torus variable).  Returns a KernelEval."""
-    b = b or DEFAULT_BUDGET
+    in the uniformising torus variable).  Returns a KernelEval.
+
+    x and y are scalars or 1-d arrays; for arrays the value is the matrix
+    [S2(x_i, y_j)], built from one extraction per point and one solve with
+    I - T.  Raises ValueError outside the sewing domain and where the
+    correction series diverges (see _check_convergence)."""
     ok, margin, _ = domain_check(sew.tau, sew.w, sew.rho)
     if not ok:
         raise ValueError(f"(tau, w, rho) outside the sewing domain (margin {margin:g})")
-    base = s_kappa(x, y, sew, tw, b)
-    h = h_row(x, N, sew, tw, quad_M, b)
-    hb = hbar_row(y, N, sew, tw, quad_M, b)
-    lu = _resolvent_lu(N, quad_M, sew, tw, b)
-    corr = tw.xi * (h * theta2_weights(N, tw)) @ lu_solve(lu, hb)
-    return KernelEval(complex(base + corr), N, quad_M)
+    xs = np.atleast_1d(np.asarray(x, dtype=complex))
+    ys = np.atleast_1d(np.asarray(y, dtype=complex))
+    _check_convergence(xs, ys, sew)
+    base = s_kappa(xs[:, None], ys[None, :], sew, tw, b)
+    h = h_rows(xs, N, sew, tw, quad_M, b) * theta2_weights(N, tw)
+    hb = h_rows(ys, N, sew, tw, quad_M, b, bar=True)
+    T = build_T(N, sew, tw, quad_M, b)
+    val = base + tw.xi * h @ np.linalg.solve(np.eye(2 * N) - T, hb.T)
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        val = complex(val[0, 0])
+    return KernelEval(val, N, quad_M)
 
 
 def sewing_multiplier_residual(x_loc, a, y, sew, tw, N=16, quad_M=256, b=None):
@@ -136,8 +138,7 @@ def sewing_multiplier_residual(x_loc, a, y, sew, tw, N=16, quad_M=256, b=None):
     x = x_loc + puncture_center(a, sew)
     xbar = xbar_loc + puncture_center(abar, sew)
 
-    lhs = s2_eval(x, y, sew, tw, N, quad_M, b).value
-    rhs = s2_eval(xbar, y, sew, tw, N, quad_M, b).value
+    lhs, rhs = s2_eval(np.array([x, xbar]), y, sew, tw, N, quad_M, b).value[:, 0]
     jac = (-1.0) ** abar * tw.xi * sew.sqrt_rho / xbar_loc
     scale = max(abs(lhs * jac), abs(rhs), 1e-300)
 

@@ -104,12 +104,11 @@ def z1_twisted_2pt(sew, tw, b=None):
 def gen1_form(xs, ys, sew, tw, b=None):
     """Genus-one n-pair generating form: z1_twisted_2pt times the determinant
     of the twisted Szego kernel matrix [S_kappa(x_i, y_j)]."""
-    xs = list(xs)
-    ys = list(ys)
+    xs = np.array(list(xs), dtype=complex)
+    ys = np.array(list(ys), dtype=complex)
     if len(xs) != len(ys):
         raise ValueError("need equal numbers of x and y insertions")
-    n = len(xs)
-    M = np.array([[s_kappa(xs[i], ys[j], sew, tw, b) for j in range(n)] for i in range(n)])
+    M = s_kappa(xs[:, None], ys[None, :], sew, tw, b)
     return complex(z1_twisted_2pt(sew, tw, b) * np.linalg.det(M))
 
 
@@ -405,15 +404,9 @@ def triple_product_residual(sew, tw, N=16, quad_M=256, b=None, Omega=None):
 def gen2_form(xs, ys, sew, tw, N=16, quad_M=256, b=None):
     """Genus-two n-pair generating form: z2_fermionic times the determinant
     of the genus-two Szego kernel matrix [S2(x_i, y_j)]."""
-    xs = list(xs)
-    ys = list(ys)
+    xs = np.array(list(xs), dtype=complex)
+    ys = np.array(list(ys), dtype=complex)
     if len(xs) != len(ys):
         raise ValueError("need equal numbers of x and y insertions")
-    n = len(xs)
-    M = np.array(
-        [
-            [s2_eval(xs[i], ys[j], sew, tw, N, quad_M, b).value for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    M = s2_eval(xs, ys, sew, tw, N, quad_M, b).value
     return complex(z2_fermionic(sew, tw, N, quad_M, b) * np.linalg.det(M))

@@ -322,6 +322,14 @@ def _other(a):
     return 3 - a
 
 
+def _contour(side, r, M, sew, tw, b, sign):
+    """Global points of the circle |t| = r around puncture `side` and the
+    branch-tracked regularising factor exp(sign * kappa * log A_side) on it
+    (sign = +1 for an x-contour, -1 for a y-contour)."""
+    t, loga = _log_A_circle(side, r, M, sew, b)
+    return t + puncture_center(side, sew), np.exp(sign * tw.kappa * loga)
+
+
 @lru_cache(maxsize=256)
 def _moment_block_cached(a, bidx, N, quad_M, sew, tw, budget):
     xside = _other(a)  # x-contour lives at puncture abar
@@ -330,12 +338,8 @@ def _moment_block_cached(a, bidx, N, quad_M, sew, tw, budget):
     ry = sew.r1 if yside == 1 else sew.r2
     if xside == yside:
         ry = 0.8 * rx  # keep |y| < |x| so the Cauchy part stays harmless
-    xs, logax = _log_A_circle(xside, rx, quad_M, sew, budget)
-    ys, logay = _log_A_circle(yside, ry, quad_M, sew, budget)
-    ux = np.exp(tw.kappa * logax)
-    uy = np.exp(-tw.kappa * logay)
-    x = xs + puncture_center(xside, sew)
-    y = ys + puncture_center(yside, sew)
+    x, ux = _contour(xside, rx, quad_M, sew, tw, budget, +1)
+    y, uy = _contour(yside, ry, quad_M, sew, tw, budget, -1)
     core = theta_ratio_core(x[:, None], y[None, :], sew, tw, budget)
     s_reg = ux[:, None] * uy[None, :] * core
     # (1/2*pi*i)^2 oint oint x^-k y^-l S~ dx dy -> scaled 2-d DFT bins
@@ -363,62 +367,59 @@ def moment_C(a, bidx, k, l, sew, tw, quad_M=256, b=None):
     return complex(moment_block(a, bidx, N, sew, tw, quad_M, b)[k - 1, l - 1])
 
 
-def half_diff(a, x, N, sew, tw, quad_M=256, b=None):
-    """Vector d_a(x, k), k = 1..N: contour extraction in the second kernel
-    argument around puncture a,
-
-        d_a(x, k) = (1/2*pi*i) oint y_a^(-k_a) S_kappa(x, y_a) dy_a,
-
-    for an external point x.  The fractional part of y_a^(-k_a) is realised
-    through the branch-tracked puncture factor, the external x keeps its
-    principal-branch factor.
-    """
-    x = complex(x)
-    r = sew.r1 if a == 1 else sew.r2
-    center = puncture_center(a, sew)
-    # keep the contour clear of every lattice translate of the kernel pole
-    lam, _, _ = nearest_lattice_point(x - center, sew.tau)
-    dist = abs(x - center - complex(lam))
-    r = min(r, 0.7 * dist)
-    if r <= 0:
-        raise ValueError("external point coincides with the puncture")
-    ys, logay = _log_A_circle(a, r, quad_M, sew, b)
-    uy = np.exp(-tw.kappa * logay)
-    y = ys + center
-    core = theta_ratio_core(x, y, sew, tw, b)
-    fx = external_x_factor(x, sew, tw, b)
-    vals = fx * uy * core
-    # (1/2*pi*i) oint f y^-k dy = (1/M) sum_j f_j y_j^(1-k) -> DFT bin k-1
-    F = np.fft.fft(vals) / quad_M
-    k = np.arange(1, N + 1, dtype=float)
-    return r ** (1.0 - k) * F[:N]
+def puncture_distance(z, side, sew):
+    """Distance from z to the nearest lattice translate of puncture `side`
+    (vectorised over z)."""
+    z = np.asarray(z, dtype=complex) - puncture_center(side, sew)
+    lam, _, _ = nearest_lattice_point(z, sew.tau)
+    return np.abs(z - lam)
 
 
-def half_diff_bar(a, y, N, sew, tw, quad_M=256, b=None):
-    """Vector dbar_a(y, k), k = 1..N: contour extraction in the first kernel
-    argument around puncture abar,
+def half_diff(a, points, N, sew, tw, quad_M=256, b=None, bar=False):
+    """Contour extractions of the kernel around a puncture, k = 1..N.
+
+    bar=False gives d_a(x, k), the extraction in the second kernel argument
+    around puncture a at external points x,
+
+        d_a(x, k) = (1/2*pi*i) oint y_a^(-k_a) S_kappa(x, y_a) dy_a;
+
+    bar=True gives dbar_a(y, k), the extraction in the first kernel argument
+    around puncture abar at external points y,
 
         dbar_a(y, k) = (1/2*pi*i) oint x_abar^(-k_a) S_kappa(x_abar, y) dx_abar.
+
+    The fractional part of the contour power is realised through the
+    branch-tracked puncture factor, the external point keeps its
+    principal-branch factor.  Each point gets the circle of radius
+    min(r, 0.7 * distance to the nearest lattice translate of the puncture),
+    which keeps it clear of the kernel pole; the points that share a radius
+    are evaluated as one product grid and one FFT along the contour.
+
+    `points` is a scalar (returns a length-N vector) or a 1-d array (returns
+    an array of shape (len(points), N)).
     """
-    y = complex(y)
-    xside = _other(a)
-    r = sew.r1 if xside == 1 else sew.r2
-    center = puncture_center(xside, sew)
-    # keep the contour clear of every lattice translate of the kernel pole
-    lam, _, _ = nearest_lattice_point(y - center, sew.tau)
-    dist = abs(y - center - complex(lam))
-    r = min(r, 0.7 * dist)
-    if r <= 0:
+    side = _other(a) if bar else a
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    radii = np.minimum(sew.r1 if side == 1 else sew.r2, 0.7 * puncture_distance(pts, side, sew))
+    if np.any(radii <= 0):
         raise ValueError("external point coincides with the puncture")
-    xs, logax = _log_A_circle(xside, r, quad_M, sew, b)
-    ux = np.exp(tw.kappa * logax)
-    x = xs + center
-    core = theta_ratio_core(x, y, sew, tw, b)
-    gy = external_y_factor(y, sew, tw, b)
-    vals = gy * ux * core
-    F = np.fft.fft(vals) / quad_M
+    if bar:
+        ext = external_y_factor(pts, sew, tw, b)
+    else:
+        ext = external_x_factor(pts, sew, tw, b)
     k = np.arange(1, N + 1, dtype=float)
-    return r ** (1.0 - k) * F[:N]
+    out = np.empty((pts.size, N), dtype=complex)
+    for r in np.unique(radii):
+        sel = radii == r
+        c, u = _contour(side, r, quad_M, sew, tw, b, +1 if bar else -1)
+        if bar:
+            core = theta_ratio_core(c[:, None], pts[None, sel], sew, tw, b).T
+        else:
+            core = theta_ratio_core(pts[sel, None], c[None, :], sew, tw, b)
+        # (1/2*pi*i) oint f t^-k dt = (1/M) sum_j f_j t_j^(1-k) -> DFT bin k-1
+        F = np.fft.fft(ext[sel, None] * u[None, :] * core, axis=1) / quad_M
+        out[sel] = r ** (1.0 - k) * F[:, :N]
+    return out[0] if np.ndim(points) == 0 else out
 
 
 def theta2_weights(N, tw):
@@ -436,25 +437,6 @@ def rho_half_powers(N, a, sew, tw):
     return sew.rho_pow(0.5 * (k - 0.5))
 
 
-@lru_cache(maxsize=256)
-def _build_T_cached(N, quad_M, sew, tw, budget):
-    kap = tw.kappa
-    blocks = [[None, None], [None, None]]
-    k = np.arange(1, N + 1, dtype=float)
-    for a in (1, 2):
-        ka = k + mode_offset(a, kap)
-        for bidx in (1, 2):
-            lb = k + mode_offset(bidx, kap)
-            C = moment_block(a, bidx, N, sew, tw, quad_M, budget)
-            expo = 0.5 * (ka[:, None] + lb[None, :] - 1.0)
-            G = sew.rho_pow(expo) * C
-            blocks[a - 1][bidx - 1] = G
-    G = np.block(blocks)
-    T = tw.xi * G * theta2_weights(N, tw)[None, :]
-    T.setflags(write=False)
-    return T
-
-
 def build_T(N, sew, tw, quad_M=256, b=None):
     """2N x 2N transfer matrix T = xi * G * D^(theta2) whose determinant
     det(I - T) is the genus-two fermionic correction factor.
@@ -462,4 +444,12 @@ def build_T(N, sew, tw, quad_M=256, b=None):
     Flattening convention: index (a, k) -> (a - 1) * N + (k - 1), i.e. the
     puncture-1 modes come first.
     """
-    return _build_T_cached(int(N), int(quad_M), sew, tw, b or DEFAULT_BUDGET)
+    k = np.arange(1, N + 1, dtype=float)
+    blocks = [[None, None], [None, None]]
+    for a in (1, 2):
+        ka = k + mode_offset(a, tw.kappa)
+        for bidx in (1, 2):
+            lb = k + mode_offset(bidx, tw.kappa)
+            C = moment_block(a, bidx, N, sew, tw, quad_M, b)
+            blocks[a - 1][bidx - 1] = sew.rho_pow(0.5 * (ka[:, None] + lb[None, :] - 1.0)) * C
+    return tw.xi * np.block(blocks) * theta2_weights(N, tw)[None, :]

@@ -11,7 +11,6 @@ from sewkernel.szego import (
     _log_A_radial,
     build_T,
     half_diff,
-    half_diff_bar,
     mode_offset,
     puncture_center,
     rho_half_powers,
@@ -186,7 +185,7 @@ def test_half_diff_reconstructs_kernel(sew, tw):
 
 
 def test_half_diff_bar_consistent_with_moments(sew, tw):
-    # [DERIVED] expanding half_diff_bar(a, y) in y around puncture b recovers
+    # [DERIVED] expanding half_diff(a, y, bar=True) in y around puncture b recovers
     # the moment matrix column structure: dbar_a(y, k) = sum_l C_ab(k, l)
     # y_loc^{l-1} * (regularising factor)
     from sewkernel.szego import _log_A_radial as lar
@@ -198,7 +197,7 @@ def test_half_diff_bar_consistent_with_moments(sew, tw):
     C = moment_block(a, bidx, N, sew, tw, quad_M=256)
     center = puncture_center(bidx, sew)
     y_loc = 0.25 * sew.r1 * np.exp(1.3j)
-    db = half_diff_bar(a, y_loc + center, N, sew, tw, quad_M=256)
+    db = half_diff(a, y_loc + center, N, sew, tw, quad_M=256, bar=True)
     k = np.arange(1, N + 1)
     series = C @ (y_loc ** (k - 1))
     uy = np.exp(-tw.kappa * lar(bidx, np.array([y_loc]), sew, None)[0])
