@@ -23,7 +23,6 @@ from .szego import (
     TwistConfig,
     build_T,
     half_diff,
-    moment_C,
     moment_block,
     s_kappa,
     s_kappa_regular,

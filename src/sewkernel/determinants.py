@@ -83,8 +83,8 @@ def moment_C_boson(k, l, tau, b=None):
 
 
 def moment_D_boson(k, l, tau, z, b=None):
-    """Bosonic moment D(k, l, tau, z): as moment_C but with the Weierstrass
-    function P_{k+l}(tau, z) in place of E_{k+l}(tau)."""
+    """Bosonic moment D(k, l, tau, z): as moment_C_boson but with the
+    Weierstrass function P_{k+l}(tau, z) in place of E_{k+l}(tau)."""
     return complex(_moment_factor(k, l) * weierstrass_P(k + l, z, tau, b))
 
 
@@ -120,7 +120,10 @@ def det_inv_sqrt_I_minus_R(N, sew, b=None, n_path=16):
     s in [0, 1].
 
     Scaling rho by s multiplies the (k, l) entry of R by s^((k+l)/2), so the
-    whole path is obtained from one matrix assembly.
+    whole path is obtained from one matrix assembly.  The path starts at
+    max(4, n_path) points and doubles until every step of the argument of
+    det(I - s^e R) is below pi/2; RuntimeError where 1024 points do not
+    suffice, since the branch is then not certified.
     """
     R = build_R(N, sew, b)
     k = np.arange(1, N + 1, dtype=float)
@@ -131,8 +134,13 @@ def det_inv_sqrt_I_minus_R(N, sew, b=None, n_path=16):
         dets = [np.linalg.det(np.eye(2 * N) - sv**expo * R) for sv in s]
         args = np.unwrap(np.concatenate([[0.0], np.angle(dets)]))
         # demand a well-resolved path: successive argument steps below pi/2
-        if np.max(np.abs(np.diff(args))) < 0.5 * np.pi or n >= 1024:
+        if np.max(np.abs(np.diff(args))) < 0.5 * np.pi:
             break
+        if n >= 1024:
+            raise RuntimeError(
+                "det(I - R)^(-1/2): the continuation path has an argument step of "
+                "pi/2 or more at 1024 points; the square-root branch is not resolved"
+            )
         n *= 2
     logdet = np.log(abs(dets[-1])) + 1j * args[-1]
     return complex(np.exp(-0.5 * logdet))

@@ -115,6 +115,24 @@ def _reduced_basis(tau):
 _CELL_STEPS = np.array([(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)], dtype=float).T
 
 
+def _lattice_coords(z, tau):
+    """Coordinates (e1, e2) of s = z/(2*pi*i) = e1*u + e2*v in the reduced
+    basis (u, v) of Z + Z*tau (see _reduced_basis), vectorised over z;
+    returns (e1, e2, u, v, (n1, m1), (n2, m2))."""
+    (n1, m1), (n2, m2) = _reduced_basis(tau)
+    u, v = n1 + m1 * tau, n2 + m2 * tau
+    s = np.asarray(z, dtype=complex) / TWO_PI_I
+    e1 = (np.conj(v) * s).imag / (np.conj(v) * u).imag
+    e2 = (np.conj(u) * s).imag / (np.conj(u) * v).imag
+    return e1, e2, u, v, (n1, m1), (n2, m2)
+
+
+def _gram_dist2(g1, g2, u, v):
+    """|g1*u + g2*v|^2 from the Gram matrix of (u, v)."""
+    uv = (u * np.conj(v)).real
+    return abs(u) ** 2 * g1**2 + 2.0 * uv * g1 * g2 + abs(v) ** 2 * g2**2
+
+
 def nearest_lattice_point(z, tau):
     """Nearest point of Lambda = 2*pi*i*(Z*tau + Z) to z (vectorised).
 
@@ -123,18 +141,12 @@ def nearest_lattice_point(z, tau):
     neighbouring points are compared, which finds the nearest point for any
     tau in the upper half plane.
     """
-    (n1, m1), (n2, m2) = _reduced_basis(tau)
-    u, v = n1 + m1 * tau, n2 + m2 * tau
-    s = np.asarray(z, dtype=complex) / TWO_PI_I  # s = e1*u + e2*v
-    e1 = (np.conj(v) * s).imag / (np.conj(v) * u).imag
-    e2 = (np.conj(u) * s).imag / (np.conj(u) * v).imag
+    e1, e2, u, v, (n1, m1), (n2, m2) = _lattice_coords(z, tau)
     c1, c2 = np.rint(e1), np.rint(e2)
-    # squared distance to each neighbour, |g1*u + g2*v|^2, from the Gram matrix
+    # squared distance to each neighbour, |g1*u + g2*v|^2
     g1 = (e1 - c1)[..., None] - _CELL_STEPS[0]
     g2 = (e2 - c2)[..., None] - _CELL_STEPS[1]
-    uv = (u * np.conj(v)).real
-    dist2 = abs(u) ** 2 * g1**2 + 2.0 * uv * g1 * g2 + abs(v) ** 2 * g2**2
-    j = np.argmin(dist2, axis=-1)
+    j = np.argmin(_gram_dist2(g1, g2, u, v), axis=-1)
     c1 = c1 + _CELL_STEPS[0][j]
     c2 = c2 + _CELL_STEPS[1][j]
     m = c1 * m1 + c2 * m2
@@ -153,6 +165,65 @@ def _check_off_lattice(z, tau, what):
     lam, _, _ = nearest_lattice_point(z, tau)
     if np.any(np.abs(z - lam) < 1e-12 * lattice_min_distance(tau)):
         raise ValueError(f"{what} evaluated at (numerically) a lattice point")
+
+
+def _clear_of_lattice(p, q, tau, tol):
+    """Mask of the points p_i for which no difference p_i - q_j lies within
+    tol of the lattice, certified from the annulus r_lo <= |t - c| <= r_hi
+    that holds every q_j around the centroid c of q; None where the bound
+    would visit more lattice points per p_i than the check of every pair,
+    which visits nine per pair.
+
+    p_i - q_j - lam = (p_i - c - lam) - (q_j - c) is at least the distance
+    from p_i - c - lam to that annulus, so only the lattice points within
+    r_hi + tol of p_i - c matter.  In a reduced basis (u, v),
+    |g1*u + g2*v|^2 >= (g1^2 |u|^2 + g2^2 |v|^2)/2, so their coordinates
+    differ from those of p_i - c by at most sqrt(2)*(r_hi + tol)/|u| and
+    /|v|: a fixed window of integer steps around the rounded coordinates
+    holds them all.
+    """
+    c = q.mean()
+    dq = np.abs(q - c)
+    r_lo, r_hi = dq.min(), dq.max()
+    e1, e2, u, v, _, _ = _lattice_coords(p - c, tau)
+    reach = np.sqrt(2.0) * (r_hi + tol) / (2.0 * np.pi)
+    h1, h2 = (ceil(reach / abs(e) + 0.5) for e in (u, v))
+    if (2 * h1 + 1) * (2 * h2 + 1) > _CELL_STEPS.shape[1] * q.size:
+        return None
+    d1, d2 = (a.ravel() for a in np.meshgrid(np.arange(-h1, h1 + 1), np.arange(-h2, h2 + 1)))
+    g1 = (e1 - np.rint(e1))[:, None] - d1
+    g2 = (e2 - np.rint(e2))[:, None] - d2
+    dist = 2.0 * np.pi * np.sqrt(np.maximum(_gram_dist2(g1, g2, u, v), 0.0))
+    return np.all(np.maximum(dist - r_hi, r_lo - dist) > tol, axis=1)
+
+
+def _check_off_lattice_grid(x, y, tau, what):
+    """The check of _check_off_lattice on every pair x_i - y_j of a column
+    x (M, 1) and a row y (1, K), decided in O(M + K) lattice work where the
+    geometry allows.
+
+    The points of one side are certified against the annulus around the
+    centroid of the other (see _clear_of_lattice), with the thinner of the
+    two annuli; for a contour that annulus is its circle.  tol exceeds the
+    per-pair threshold 1e-12*D by a round-off margin, so a certified point
+    cannot fail that check.  The pairs of the points left uncertified go
+    through _check_off_lattice, which therefore raises on exactly the grids
+    on which the per-pair check of the whole grid raises.
+    """
+    x = np.asarray(x, dtype=complex)[:, 0]
+    y = np.asarray(y, dtype=complex)[0]
+    if not (x.size and y.size):
+        return
+    D = lattice_min_distance(tau)
+    tol = 1e-12 * D + 1e-13 * (D + np.abs(x).max() + np.abs(y).max())
+    # lam is on the lattice iff -lam is, so y_j - x_i may stand for x_i - y_j
+    swap = np.ptp(np.abs(y - y.mean())) > np.ptp(np.abs(x - x.mean()))
+    clear = _clear_of_lattice(y, x, tau, tol) if swap else _clear_of_lattice(x, y, tau, tol)
+    if clear is not None and clear.all():
+        return
+    rest = slice(None) if clear is None else ~clear
+    rows, cols = (slice(None), rest) if swap else (rest, slice(None))
+    _check_off_lattice(x[rows, None] - y[None, cols], tau, what)
 
 
 def _theta_range(alpha, re_zz, tau, b):
@@ -257,13 +328,20 @@ def prime_form_K(z, tau, b=None):
 
 
 def prime_form_K_diff(x, y, tau, b=None):
-    """K(x - y, tau) for broadcastable x and y, with the lattice check of
-    prime_form_K on every pair; a column x and a row y are evaluated as a
-    product grid (see theta_char_g1_diff)."""
-    z = np.asarray(x) - np.asarray(y)
+    """K(x - y, tau) for broadcastable x and y, raising like prime_form_K
+    where some x - y is numerically on the lattice.
+
+    A column x and a row y are evaluated as a product grid (see
+    theta_char_g1_diff), and their lattice guard is decided from the
+    geometry of the grid: each point of one side is certified clear of the
+    lattice translates of the annulus that holds the other side, and only
+    the pairs of uncertified points are checked one by one (see
+    _check_off_lattice_grid).  The same grids raise as with a check of every
+    pair.
+    """
     if not _is_grid(x, y):
-        return prime_form_K(z, tau, b)
-    _check_off_lattice(z, tau, "prime_form_K")
+        return prime_form_K(np.asarray(x) - np.asarray(y), tau, b)
+    _check_off_lattice_grid(x, y, tau, "prime_form_K")
     return theta_char_g1_diff(0.5, 0.5, x, y, tau, b) / theta1_prime0(tau, b)
 
 
@@ -290,28 +368,20 @@ def dedekind_eta(tau, b=None):
     return np.exp(TWO_PI_I * tau / 24.0) * total
 
 
-def eisenstein_hat(kmax, tau, b=None):
-    """Table of the scaled Eisenstein series Ehat_k = (2*pi)^k * E_k(tau),
-    k = 0..kmax, as an array indexed by k (zero at odd k and at k < 2).
-
-    From the Lambert series of E_k (see eisenstein),
+def _ehat_lambert(k, tau, log_u, b):
+    """u^(-k) * Ehat_k(tau), log_u = log(u), for the even orders k >= 2 in
+    the array k, from the Lambert series of E_k (see eisenstein),
 
         Ehat_k = (-1)^(k/2) * 2*zeta(k)
-                 + (2*(2*pi)^k/(k-1)!) * sum_{d>=1} d^(k-1) q^d/(1 - q^d),
+                 + (2*(2*pi)^k/(k-1)!) * sum_{d>=1} d^(k-1) q^d/(1 - q^d).
 
-    and every term is formed as the exponential of its logarithm, so no
-    power of 2*pi or factorial overflows on its own.  Past
-    d0 = (kmax - 1)/(pi*Im(tau)) each term is below exp(-pi*Im(tau)) times
+    Every term is formed as the exponential of its logarithm, so no power
+    of 2*pi or factorial overflows on its own.  Past
+    d0 = (max(k) - 1)/(pi*Im(tau)) each term is below exp(-pi*Im(tau)) times
     the one before, which fixes the number of terms in advance.
     """
-    b = _budget(b)
-    _check_tau(tau)
     t = np.imag(tau)
-    out = np.zeros(kmax + 1, dtype=complex)
-    k = np.arange(2, kmax + 1, 2)
-    if not k.size:
-        return out
-    d0 = max(1, ceil((kmax - 1) / (np.pi * t)))
+    d0 = max(1, ceil((k.max() - 1) / (np.pi * t)))
     # log |term| at d0 for every k, with |1/(1 - q^d0)| <= 1/(1 - |q|^d0)
     x0 = 2.0 * np.pi * t * d0
     log_d0 = (k - 1) * log(2.0 * np.pi * d0) + LOG_2PI - gammaln(k) - x0 - np.log1p(-np.exp(-x0))
@@ -319,12 +389,43 @@ def eisenstein_hat(kmax, tau, b=None):
     d_max = max(b.qseries_cutoff, d0 + max(0, ceil(peak / (np.pi * t))))
     d = np.arange(1, d_max + 1)
     log_lambert = TWO_PI_I * tau * d - np.log1p(-np.exp(TWO_PI_I * tau * d))
+    scale = k * log_u
     logs = (
         np.multiply.outer(k - 1, np.log(2.0 * np.pi * d))
-        + (LOG_2PI - gammaln(k))[:, None]
+        + (LOG_2PI - gammaln(k) - scale)[:, None]
         + log_lambert[None, :]
     )
-    out[k] = (-1.0) ** (k // 2) * 2.0 * zeta(k) + 2.0 * np.exp(logs).sum(axis=1)
+    return (-1.0) ** (k // 2) * 2.0 * zeta(k) * np.exp(-scale) + 2.0 * np.exp(logs).sum(axis=1)
+
+
+def eisenstein_hat(kmax, tau, b=None):
+    """Table of the scaled Eisenstein series Ehat_k = (2*pi)^k * E_k(tau),
+    k = 0..kmax, as an array indexed by k (zero at odd k and at k < 2).
+
+    The Lambert series (see _ehat_lambert) is summed at tau reduced to the
+    fundamental domain.  With the reduced basis u, v of Z + Z*tau (see
+    _reduced_basis) and tau_r = +-v/u in the upper half plane,
+    Lambda(tau) = u * Lambda(tau_r), and E_k = sum'_lam lam^(-k) for k >= 4,
+    so Ehat_k(tau) = u^(-k) * Ehat_k(tau_r), with u^(-k) taken into the
+    logarithm of every term.  At tau itself the terms of high order cancel
+    where Im(tau) is small against |tau|.  E_2 is only quasi-modular; where
+    tau_r is not tau plus an integer, it is summed at tau itself, where its
+    terms d*q^d/(1 - q^d) do not cancel that way.
+    """
+    b = _budget(b)
+    _check_tau(tau)
+    out = np.zeros(kmax + 1, dtype=complex)
+    k = np.arange(2, kmax + 1, 2)
+    if not k.size:
+        return out
+    (n1, m1), (n2, m2) = _reduced_basis(tau)
+    u = n1 + m1 * tau
+    tau_r = (n2 + m2 * tau) / u
+    if tau_r.imag < 0:
+        tau_r = -tau_r
+    out[k] = _ehat_lambert(k, tau_r, np.log(u), b)
+    if m1:
+        out[2] = _ehat_lambert(k[:1], tau, 0.0, b)[0]
     return out
 
 

@@ -321,7 +321,14 @@ def fock_sum_oracle(W, sew, tw, quad_M=256, b=None):
     kap = tw.kappa
     total = 0.0j
     pref0 = np.exp(2j * np.pi * tw.beta2 * kap)
-    for lab in enumerate_fock_labels(W, kap):
+    labels = enumerate_fock_labels(W, kap)
+    # build the moment blocks once, at the largest mode; fock_2pt slices them
+    Nmax = max((max(lab.k_list + lab.l_list, default=0) for lab in labels), default=0)
+    if Nmax:
+        for a in (1, 2):
+            for bb in (1, 2):
+                moment_block(a, bb, Nmax, sew, tw, quad_M, b)
+    for lab in labels:
         wt = lab.weight()
         wtk = lab.weight_twisted(kap)
         eps1 = (-1) ** (lab.s * lab.t + floor(wt + 1e-12)) * np.exp(

@@ -322,32 +322,69 @@ def _other(a):
     return 3 - a
 
 
-def _contour(side, r, M, sew, tw, b, sign):
+def _contour(side, r, M, sew, tw, b):
     """Global points of the circle |t| = r around puncture `side` and the
-    branch-tracked regularising factor exp(sign * kappa * log A_side) on it
-    (sign = +1 for an x-contour, -1 for a y-contour)."""
+    branch-tracked regularising factors exp(sign * kappa * log A_side) on
+    it, as a dict over sign (+1 for an x-contour, -1 for a y-contour)."""
     t, loga = _log_A_circle(side, r, M, sew, b)
-    return t + puncture_center(side, sew), np.exp(sign * tw.kappa * loga)
+    return t + puncture_center(side, sew), {s: np.exp(s * tw.kappa * loga) for s in (1, -1)}
+
+
+class _Surface:
+    """Cached state of one surface (sew, tw, quad_M, budget): its contours
+    by (side, radius), and each moment block at the largest N built so far.
+
+    Row k and column l of a block do not depend on N, so a block is served
+    at any smaller N as a slice, and rebuilt only for a larger N.  The full
+    contour radii r1, r2 and the inner radii 0.8 * r1, 0.8 * r2 of the
+    same-side blocks give four contours, which the four blocks and
+    half_diff share.  Threads that share a surface can at worst build the
+    same contour or block twice; each call returns what it built or found.
+    """
+
+    def __init__(self, sew, tw, quad_M, budget):
+        self.sew, self.tw, self.quad_M, self.budget = sew, tw, quad_M, budget
+        self.contours = {}
+        self.blocks = {}
+
+    def contour(self, side, r, sign):
+        if (side, r) not in self.contours:
+            self.contours[side, r] = _contour(side, r, self.quad_M, self.sew, self.tw, self.budget)
+        pts, u = self.contours[side, r]
+        return pts, u[sign]
+
+    def block(self, a, bidx, N):
+        blk = self.blocks.get((a, bidx))
+        if blk is None or blk.shape[0] < N:
+            blk = self.blocks[a, bidx] = self._build_block(a, bidx, N)
+        return blk[:N, :N]
+
+    def _build_block(self, a, bidx, N):
+        sew, M = self.sew, self.quad_M
+        xside = _other(a)  # x-contour lives at puncture abar
+        yside = bidx
+        rx = sew.r1 if xside == 1 else sew.r2
+        ry = sew.r1 if yside == 1 else sew.r2
+        if xside == yside:
+            ry = 0.8 * rx  # keep |y| < |x| so the Cauchy part stays harmless
+        x, ux = self.contour(xside, rx, +1)
+        y, uy = self.contour(yside, ry, -1)
+        core = theta_ratio_core(x[:, None], y[None, :], sew, self.tw, self.budget)
+        s_reg = ux[:, None] * uy[None, :] * core
+        # (1/2*pi*i)^2 oint oint x^-k y^-l S~ dx dy -> scaled 2-d DFT bins;
+        # transforming along y, keeping N bins and then transforming along x
+        # forms only the bins F[:N, :N] of fft2, bit for bit
+        F = np.fft.fft(np.fft.fft(s_reg, axis=1)[:, :N], axis=0)[:N] / M**2
+        k = np.arange(1, N + 1)
+        block = rx ** (1.0 - k)[:, None] * ry ** (1.0 - k)[None, :] * F
+        block.setflags(write=False)
+        return block
 
 
 @lru_cache(maxsize=256)
-def _moment_block_cached(a, bidx, N, quad_M, sew, tw, budget):
-    xside = _other(a)  # x-contour lives at puncture abar
-    yside = bidx
-    rx = sew.r1 if xside == 1 else sew.r2
-    ry = sew.r1 if yside == 1 else sew.r2
-    if xside == yside:
-        ry = 0.8 * rx  # keep |y| < |x| so the Cauchy part stays harmless
-    x, ux = _contour(xside, rx, quad_M, sew, tw, budget, +1)
-    y, uy = _contour(yside, ry, quad_M, sew, tw, budget, -1)
-    core = theta_ratio_core(x[:, None], y[None, :], sew, tw, budget)
-    s_reg = ux[:, None] * uy[None, :] * core
-    # (1/2*pi*i)^2 oint oint x^-k y^-l S~ dx dy -> scaled 2-d DFT bins
-    F = np.fft.fft2(s_reg) / quad_M**2
-    k = np.arange(1, N + 1)
-    block = rx ** (1.0 - k)[:, None] * ry ** (1.0 - k)[None, :] * F[:N, :N]
-    block.setflags(write=False)
-    return block
+def _moment_block_cached(sew, tw, quad_M, budget):
+    """The one _Surface of (sew, tw, quad_M, budget)."""
+    return _Surface(sew, tw, quad_M, budget)
 
 
 def moment_block(a, bidx, N, sew, tw, quad_M=256, b=None):
@@ -355,16 +392,11 @@ def moment_block(a, bidx, N, sew, tw, quad_M=256, b=None):
 
     The first index a refers to the x-contour taken around puncture abar
     (a = 1 -> x near w), the second to the y-contour around puncture b.
+    The block is cached per surface at the largest N built so far.
     """
     if a not in (1, 2) or bidx not in (1, 2):
         raise ValueError("block indices must be 1 or 2")
-    return _moment_block_cached(a, bidx, int(N), int(quad_M), sew, tw, b or DEFAULT_BUDGET)
-
-
-def moment_C(a, bidx, k, l, sew, tw, quad_M=256, b=None):
-    """Single expansion moment C_ab(k, l)."""
-    N = max(k, l)
-    return complex(moment_block(a, bidx, N, sew, tw, quad_M, b)[k - 1, l - 1])
+    return _moment_block_cached(sew, tw, int(quad_M), b or DEFAULT_BUDGET).block(a, bidx, int(N))
 
 
 def puncture_distance(z, side, sew):
@@ -393,14 +425,19 @@ def half_diff(a, points, N, sew, tw, quad_M=256, b=None, bar=False):
     principal-branch factor.  Each point gets the circle of radius
     min(r, 0.7 * distance to the nearest lattice translate of the puncture),
     which keeps it clear of the kernel pole; the points that share a radius
-    are evaluated as one product grid and one FFT along the contour.
+    are evaluated as one product grid and one FFT along the contour.  The
+    full-radius circle comes from the surface cache (see _Surface), a
+    clipped one is built on the spot.  The lattice guard of each grid is
+    decided from the distance of the points to the lattice translates of
+    the circle (see elliptic.prime_form_K_diff).
 
     `points` is a scalar (returns a length-N vector) or a 1-d array (returns
     an array of shape (len(points), N)).
     """
     side = _other(a) if bar else a
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    radii = np.minimum(sew.r1 if side == 1 else sew.r2, 0.7 * puncture_distance(pts, side, sew))
+    r_full = sew.r1 if side == 1 else sew.r2
+    radii = np.minimum(r_full, 0.7 * puncture_distance(pts, side, sew))
     if np.any(radii <= 0):
         raise ValueError("external point coincides with the puncture")
     if bar:
@@ -409,9 +446,15 @@ def half_diff(a, points, N, sew, tw, quad_M=256, b=None, bar=False):
         ext = external_x_factor(pts, sew, tw, b)
     k = np.arange(1, N + 1, dtype=float)
     out = np.empty((pts.size, N), dtype=complex)
+    sign = +1 if bar else -1
+    surface = _moment_block_cached(sew, tw, int(quad_M), b or DEFAULT_BUDGET)
     for r in np.unique(radii):
         sel = radii == r
-        c, u = _contour(side, r, quad_M, sew, tw, b, +1 if bar else -1)
+        if r == r_full:
+            c, u = surface.contour(side, r, sign)
+        else:  # a clipped radius is built on the spot
+            c, u = _contour(side, r, quad_M, sew, tw, b)
+            u = u[sign]
         if bar:
             core = theta_ratio_core(c[:, None], pts[None, sel], sew, tw, b).T
         else:

@@ -134,6 +134,17 @@ def test_det_inv_sqrt_path_refinement_stable():
     assert abs(a - b) < 1e-12
 
 
+def test_det_inv_sqrt_raises_on_unresolved_path(monkeypatch):
+    # det(I - s*c) = 1 - s*c passes within 1e-7 of zero at s = 0.3 + 1e-7,
+    # so its argument turns by nearly pi inside one step of 1/1024
+    from sewkernel import determinants
+
+    c = np.exp(1e-7j) / (0.3 + 1e-7)
+    monkeypatch.setattr(determinants, "build_R", lambda N, sew, b=None: np.diag([c, 0.0]))
+    with pytest.raises(RuntimeError, match="not resolved"):
+        det_inv_sqrt_I_minus_R(1, SewingConfig(TAU, W, 1e-3))
+
+
 # ------------------------------------------------------------------- minors
 
 

@@ -190,6 +190,21 @@ def test_z2_fermionic_matches_fock_sum(sew, tw):
     assert devs[1] < 1e-6
 
 
+def test_fock_sum_builds_the_moment_grids_once(sew, tw, monkeypatch):
+    # fock_2pt asks for blocks at every distinct mode bound; the surface
+    # builds each of its four grids once, at the largest
+    from sewkernel import szego
+
+    s = SewingConfig(sew.tau, sew.w, 0.5 * sew.rho)
+    grids = []
+    core = szego.theta_ratio_core
+    monkeypatch.setattr(szego, "theta_ratio_core", lambda *a: grids.append(1) or core(*a))
+    misses = szego._moment_block_cached.cache_info().misses
+    fock_sum_oracle(3, s, tw, quad_M=128)
+    assert len(grids) == 4
+    assert szego._moment_block_cached.cache_info().misses == misses + 1
+
+
 def test_z2_fermionic_det_method_agreement(sew, tw):
     a = z2_fermionic(sew, tw, N=12, quad_M=128, method="trace_log")
     b = z2_fermionic(sew, tw, N=12, quad_M=128, method="lu")

@@ -8,6 +8,7 @@ evaluations of one series may differ by about eps * sum_n (1 + |arg_n|)
 * |term_n|.  The tests allow 16 times that.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -107,6 +108,7 @@ def test_theta_grid_is_selected_by_shape_only():
     assert abs(np.diag(grid) - flat).max() < 1e-14
 
 
+@functools.lru_cache(maxsize=None)
 def _ehat_mp(k, tau):
     """(2*pi)^k * E_k(tau) from -B_k/k! + (2/(k-1)!) sum_n sigma_{k-1}(n) q^n,
     with the divisor sums taken directly, at 30 digits; also returns the sum
@@ -140,6 +142,16 @@ def test_eisenstein_hat_against_mpmath(k, tau):
     ref, size = _ehat_mp(k, tau)
     assert np.isfinite(table[k])
     assert abs(table[k] - complex(ref)) < 1e-14 * k * float(size)
+
+
+@pytest.mark.parametrize("k", [2, 4, 100, 200, 400])
+def test_eisenstein_hat_off_the_fundamental_domain(k):
+    # summed at tau reduced to the fundamental domain, Ehat_k carries its
+    # digits relative to |Ehat_k| itself where the series at tau cancels;
+    # E_2, which is only quasi-modular, is summed at tau itself
+    tau = -0.2 + 0.6j
+    ref, _ = _ehat_mp(k, tau)
+    assert abs(eisenstein_hat(k, tau)[k] - complex(ref)) <= 1e-12 * abs(complex(ref))
 
 
 def test_eisenstein_hat_odd_and_low_orders_vanish():

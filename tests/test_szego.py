@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sewkernel import SewingConfig, TwistConfig, moment_block, s_kappa
+from sewkernel import SewingConfig, TwistConfig, moment_block, s_kappa, szego
 from sewkernel.szego import (
     _log_A_circle,
     _log_A_radial,
@@ -160,6 +160,35 @@ def test_moment_block_immutable(sew, tw):
     C = moment_block(1, 1, 4, sew, tw, quad_M=64)
     with pytest.raises(ValueError):
         C[0, 0] = 0.0
+
+
+def test_moment_blocks_slice_exactly_across_N(tw):
+    # row k and column l of a block do not depend on N: the blocks built at
+    # N = 24 and served at N = 16 are bitwise those built at N = 16
+    sew = SewingConfig(-0.1 + 1.2j, 1.7 + 2.9j, 4e-4)
+    built = {}
+    for N in (16, 24):
+        szego._moment_block_cached.cache_clear()
+        built[N] = [moment_block(a, bb, N, sew, tw, quad_M=128) for a in (1, 2) for bb in (1, 2)]
+        served = [moment_block(a, bb, 16, sew, tw, quad_M=128) for a in (1, 2) for bb in (1, 2)]
+        assert all(np.array_equal(s, b[:16, :16]) for s, b in zip(served, built[N]))
+    assert all(np.array_equal(b16, b24[:16, :16]) for b16, b24 in zip(built[16], built[24]))
+
+
+def test_surface_builds_each_contour_once(sew, tw, monkeypatch):
+    # the four blocks share four contours, and half_diff reads the
+    # full-radius ones from the same surface; a clipped radius is built anew
+    calls = []
+    log_a = szego._log_A_circle
+    monkeypatch.setattr(szego, "_log_A_circle", lambda *a: calls.append(a[:2]) or log_a(*a))
+    s = SewingConfig(sew.tau, sew.w, sew.rho, r1=0.9 * sew.r1)
+    build_T(8, s, tw, quad_M=64)
+    assert sorted(calls) == sorted([(1, s.r1), (2, s.r2), (1, 0.8 * s.r1), (2, 0.8 * s.r2)])
+    half_diff(1, 1.1 + 0.9j, 8, s, tw, quad_M=64)
+    half_diff(2, 1.1 + 0.9j, 8, s, tw, quad_M=64, bar=True)
+    assert len(calls) == 4
+    half_diff(1, 0.2 * s.r1, 8, s, tw, quad_M=64)  # clipped to 0.14 * r1
+    assert len(calls) == 5 and calls[-1][1] < s.r1
 
 
 def test_half_diff_reconstructs_kernel(sew, tw):
