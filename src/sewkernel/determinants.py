@@ -50,9 +50,12 @@ def det_I_minus(M, method="trace_log"):
     if method != "trace_log":
         raise ValueError(f"unknown method {method!r}")
 
-    radius = np.max(np.abs(np.linalg.eigvals(M))) if n else 0.0
-    if radius >= 1.0:
-        raise ValueError(f"trace-log series diverges: spectral radius {radius:g} >= 1")
+    # the spectral radius is at most the Frobenius norm, so only a norm of
+    # 1 or more (or NaN) needs the eigenvalues
+    if not np.linalg.norm(M) < 1.0:
+        radius = np.max(np.abs(np.linalg.eigvals(M)))
+        if radius >= 1.0:
+            raise ValueError(f"trace-log series diverges: spectral radius {radius:g} >= 1")
     acc = 0.0 + 0.0j
     P = np.eye(n, dtype=complex)
     last = np.inf

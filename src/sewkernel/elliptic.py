@@ -28,10 +28,12 @@ double-precision round-off relative to the largest term kept:
 * the q-series (eta, the Eisenstein table) stop where their geometric tail
   is below round-off.
 
-SeriesBudget.lattice_cutoff and SeriesBudget.qseries_cutoff are lower limits
-on these ranges.  On a product grid, theta[alpha; beta](x_i - y_j) for a
-column x and a row y, the lattice sum separates into one matrix product
-(see theta_char_g1_diff).
+The tail bound alone fixes every range: SeriesBudget.lattice_cutoff and
+SeriesBudget.qseries_cutoff default to 0 and act only as optional floors.
+On a product grid, theta[alpha; beta](x_i - y_j) for a column x and a row
+y, the lattice sum separates into one matrix product (see
+theta_char_g1_diff), whose terms far below round-off of every entry are
+dropped before the product.
 """
 
 from __future__ import annotations
@@ -59,18 +61,19 @@ class SeriesBudget:
     Attributes
     ----------
     lattice_cutoff : int
-        Lower limit on the summation range |n| <= lattice_cutoff of theta-type
-        lattice sums; the range grows beyond it where the tail bound needs.
+        Optional floor on the summation range |n| <= lattice_cutoff of
+        theta-type lattice sums.  The default 0 leaves the range to the tail
+        bound, which already puts the dropped terms below round-off.
     qseries_cutoff : int
-        Lower limit on the truncation order of q-expansions (eta, Eisenstein
-        series).
+        Optional floor on the truncation order of q-expansions (eta,
+        Eisenstein series); the default 0 leaves it to the tail bound.
     rel_tol : float
         Relative size below which three consecutive terms stop the Laurent
         series of the Weierstrass-type functions.
     """
 
-    lattice_cutoff: int = 16
-    qseries_cutoff: int = 64
+    lattice_cutoff: int = 0
+    qseries_cutoff: int = 0
     rel_tol: float = 1e-12
 
 
@@ -233,7 +236,7 @@ def _theta_range(alpha, re_zz, tau, b):
     The terms have modulus exp(-pi*t*nu^2 + a*nu), largest at a/(2*pi*t);
     the range reaches W = sqrt((_LOG_EPS + log 2)/(pi*t)) + 1 beyond the
     centres of every a, which puts the two tails below round-off, and it
-    always contains |n| <= b.lattice_cutoff.
+    contains |n| <= b.lattice_cutoff where that floor is set.
     """
     t = np.imag(tau)
     half = np.sqrt((_LOG_EPS + log(2.0)) / (np.pi * t)) + 1.0
@@ -272,19 +275,22 @@ def _is_grid(x, y):
     return np.ndim(x) == 2 and np.ndim(y) == 2 and np.shape(x)[1] == 1 and np.shape(y)[0] == 1
 
 
-def theta_char_g1_diff(alpha, beta, x, y, tau, b=None):
-    """theta[alpha; beta](x - y, tau) for broadcastable x and y.
+def _theta_grid_factors(alpha, beta, x, y, tau, b=None):
+    """Factors (left, right) of the product grid theta[alpha; beta](x - y)
+    for a column x (M, 1) and a row y (1, K): left is M x n, right n x K and
+    the grid is left @ right (see theta_char_g1_diff).
 
-    For a column x (M, 1) and a row y (1, K) the lattice sum separates,
-
-        theta[alpha; beta](x_i - y_j)
-            = sum_n e^(i*pi*nu^2*tau + nu*(x_i + 2*pi*i*beta)) * e^(-nu*y_j),
-
-    nu = n + alpha, and the M x K grid is one (M x n)(n x K) matrix
-    product.  Any other shapes are evaluated pointwise by theta_char_g1.
+    A left factor left_in is zeroed where even its largest product with a
+    right factor, |left_in| * max_j |right_nj|, is below 2^-106 of
+    max_n |left_in| * min_j |right_nj|, a size that every entry of row i
+    reaches in at least one term.  Each entry then loses only terms 2^106
+    times smaller than one it keeps, which cannot move it beyond round-off,
+    and the matrix product makes none of the subnormal partial products
+    that slow it down several times over.  A flush against the largest
+    term of the whole row would not be safe: where the real parts of y
+    spread widely, the entries of one row differ by many orders of
+    magnitude.
     """
-    if not _is_grid(x, y):
-        return theta_char_g1(alpha, beta, np.asarray(x) - np.asarray(y), tau, b)
     b = _budget(b)
     _check_tau(tau)
     xx = np.asarray(x, dtype=complex)[:, 0] + TWO_PI_I * beta
@@ -294,10 +300,30 @@ def theta_char_g1_diff(alpha, beta, x, y, tau, b=None):
     hi = np.max(xx.real, initial=0.0) - np.min(yy.real, initial=0.0)
     nu = _theta_range(alpha, np.array([lo, hi]), tau, b)
     left = np.exp(1j * np.pi * nu**2 * tau + np.multiply.outer(xx, nu))
-    # subnormal Gaussian factors are far below round-off of the sum, and they
-    # slow the matrix product down many times over
-    left[np.abs(left) < np.finfo(float).tiny] = 0.0
     right = np.exp(-np.multiply.outer(nu, yy))
+    mag = np.abs(right)
+    size = np.abs(left)
+    sure = np.max(size * mag.min(axis=1, initial=np.inf), axis=1, keepdims=True)
+    left[size * mag.max(axis=1, initial=0.0) < 2.0**-106 * sure] = 0.0
+    return left, right
+
+
+def theta_char_g1_diff(alpha, beta, x, y, tau, b=None):
+    """theta[alpha; beta](x - y, tau) for broadcastable x and y.
+
+    For a column x (M, 1) and a row y (1, K) the lattice sum separates,
+
+        theta[alpha; beta](x_i - y_j)
+            = sum_n e^(i*pi*nu^2*tau + nu*(x_i + 2*pi*i*beta)) * e^(-nu*y_j),
+
+    nu = n + alpha over the tail-bound range of every pair, and the M x K
+    grid is one (M x n)(n x K) matrix product of _theta_grid_factors, which
+    drops the terms far below round-off of every entry beforehand.  Any
+    other shapes are evaluated pointwise by theta_char_g1.
+    """
+    if not _is_grid(x, y):
+        return theta_char_g1(alpha, beta, np.asarray(x) - np.asarray(y), tau, b)
+    left, right = _theta_grid_factors(alpha, beta, x, y, tau, b)
     return left @ right
 
 

@@ -36,11 +36,14 @@ import numpy as np
 from .elliptic import (
     DEFAULT_BUDGET,
     SeriesBudget,
+    _check_off_lattice_grid,
+    _is_grid,
+    _theta_grid_factors,
     lattice_min_distance,
     nearest_lattice_point,
-    prime_form_K,
     prime_form_K_diff,
     theta1,
+    theta1_prime0,
     theta_char_g1,
     theta_char_g1_diff,
 )
@@ -175,21 +178,22 @@ def mode_offset(a, kappa):
 
 
 def _A_values(side, t, sew, b):
-    """A_c(t) for the branch bookkeeping; t = 0 is mapped to the limit."""
+    """A_c(t) for the branch bookkeeping, vectorised over t; t = 0 is mapped
+    to the limit theta1(-s)/theta1'(0) (side 1) or its inverse (side 2).
+
+    A_1 = t*theta1(t - s)/theta1(t) with s = w, A_2 = theta1(t)/(t*theta1(t - s))
+    with s = -w, and theta1(t), theta1(t - s) at every t come from one product
+    grid (see elliptic.theta_char_g1_diff).
+    """
     t = np.asarray(t, dtype=complex)
-    w, tau = sew.w, sew.tau
-    out = np.empty(t.shape, dtype=complex)
-    zero = np.abs(t) == 0.0
-    nz = ~zero
-    if side == 1:
-        out[nz] = t[nz] * theta1(t[nz] - w, tau, b) / theta1(t[nz], tau, b)
-        if zero.any():
-            out[zero] = -prime_form_K(w, tau, b)
-    else:
-        out[nz] = theta1(t[nz], tau, b) / (t[nz] * theta1(t[nz] + w, tau, b))
-        if zero.any():
-            out[zero] = 1.0 / prime_form_K(w, tau, b)
-    return out
+    flat = t.reshape(-1)
+    shift = sew.w if side == 1 else -sew.w
+    th = theta_char_g1_diff(0.5, 0.5, flat[:, None], np.array([[0.0, shift]]), sew.tau, b)
+    num, den = flat * th[:, 1], th[:, 0]
+    zero = flat == 0.0
+    num[zero], den[zero] = th[zero, 1], theta1_prime0(sew.tau, b)
+    vals = num / den if side == 1 else den / num
+    return vals.reshape(t.shape)
 
 
 def _log_A_radial(side, t, sew, b, steps=_RADIAL_STEPS):
@@ -209,30 +213,57 @@ def _log_A_radial(side, t, sew, b, steps=_RADIAL_STEPS):
 
 def _log_A_circle(side, r, M, sew, b):
     """(points, log A_c) on the circle |t| = r, branch-continuous and
-    anchored by radial continuation at angle zero."""
+    anchored by radial continuation at angle zero.
+
+    A_c comes from one product grid of theta1 (see _A_values) over the
+    circle and the _RADIAL_STEPS-step radial path from the centre to the
+    circle's first point together.  The path's phase, unwrapped from the
+    principal one at the centre, plus the carried winding, anchors the
+    circle's phase.  A phase that does not close around the circle raises
+    RuntimeError.
+    """
     theta = 2.0 * np.pi * np.arange(M) / M
     t = r * np.exp(1j * theta)
-    vals = _A_values(side, t, sew, b)
-    closed = np.concatenate([vals, vals[:1]])
-    ang = np.unwrap(np.angle(closed))
+    radial = np.linspace(0.0, 1.0, _RADIAL_STEPS + 1) * t[0]
+    vals = _A_values(side, np.concatenate([t, radial]), sew, b)
+    circle, path = vals[:M], vals[M:]
+    ang = np.unwrap(np.angle(np.append(circle, circle[0])))
     if abs(ang[-1] - ang[0]) > 1e-6:
         raise RuntimeError(
             "branch factor winds around the contour; radius outside the "
             "analyticity disk of the puncture factor"
         )
-    anchor = _log_A_radial(side, np.array([t[0]]), sew, b)[0]
-    ang = ang[:-1] + (anchor.imag - ang[0])
-    return t, np.log(np.abs(vals)) + 1j * ang
+    winding = sew.branch_n1 if side == 1 else sew.branch_n2
+    anchor = np.unwrap(np.angle(path))[-1] + 2.0 * np.pi * winding
+    return t, np.log(np.abs(circle)) + 1j * (ang[:-1] + (anchor - ang[0]))
 
 
-def theta_ratio_core(x, y, sew, tw, b=None):
+def theta_ratio_core(x, y, sew, tw, b=None, wx=None, wy=None):
     """Single-valued core theta[a1; b1](x-y+kappa*w) /
-    (theta[a1; b1](kappa*w) * K(x-y)); broadcasts over x, y, and a column x
-    with a row y is evaluated as a product grid."""
+    (theta[a1; b1](kappa*w) * K(x-y)) times the optional weights wx, which
+    broadcasts like x, and wy, which broadcasts like y; broadcasts over x, y,
+    and a column x with a row y is evaluated as a product grid.
+
+    On a grid, with K = theta1/theta1'(0), the core is
+    theta1'(0)/theta[a1; b1](kappa*w) * theta[a1; b1](x-y+kappa*w) /
+    theta1(x-y).  That constant and the weights are folded into the row and
+    column factors of the numerator's matrix product (see
+    elliptic._theta_grid_factors), so the grid is one matrix product divided
+    by the theta1 grid.  The lattice guard of prime_form_K_diff runs on every
+    grid.
+    """
     tau, c = sew.tau, tw.kappa * sew.w
     den0 = theta_char_g1(tw.alpha1, tw.beta1, c, tau, b)
-    num = theta_char_g1_diff(tw.alpha1, tw.beta1, np.asarray(x) + c, y, tau, b)
-    return num / (den0 * prime_form_K_diff(x, y, tau, b))
+    wx = 1.0 if wx is None else np.asarray(wx)
+    wy = 1.0 if wy is None else np.asarray(wy)
+    if not _is_grid(x, y):
+        num = theta_char_g1(tw.alpha1, tw.beta1, np.asarray(x) + c - np.asarray(y), tau, b)
+        return wx * wy * (num / (den0 * prime_form_K_diff(x, y, tau, b)))
+    _check_off_lattice_grid(x, y, tau, "prime_form_K")
+    left, right = _theta_grid_factors(tw.alpha1, tw.beta1, np.asarray(x) + c, y, tau, b)
+    left *= np.reshape(theta1_prime0(tau, b) / den0 * wx, (-1, 1))
+    right *= np.reshape(wy, (1, -1))
+    return (left @ right) / theta_char_g1_diff(0.5, 0.5, x, y, tau, b)
 
 
 def _check_coincidence(x, y, sew):
@@ -369,8 +400,7 @@ class _Surface:
             ry = 0.8 * rx  # keep |y| < |x| so the Cauchy part stays harmless
         x, ux = self.contour(xside, rx, +1)
         y, uy = self.contour(yside, ry, -1)
-        core = theta_ratio_core(x[:, None], y[None, :], sew, self.tw, self.budget)
-        s_reg = ux[:, None] * uy[None, :] * core
+        s_reg = theta_ratio_core(x[:, None], y[None, :], sew, self.tw, self.budget, ux, uy)
         # (1/2*pi*i)^2 oint oint x^-k y^-l S~ dx dy -> scaled 2-d DFT bins;
         # transforming along y, keeping N bins and then transforming along x
         # forms only the bins F[:N, :N] of fft2, bit for bit
@@ -456,11 +486,11 @@ def half_diff(a, points, N, sew, tw, quad_M=256, b=None, bar=False):
             c, u = _contour(side, r, quad_M, sew, tw, b)
             u = u[sign]
         if bar:
-            core = theta_ratio_core(c[:, None], pts[None, sel], sew, tw, b).T
+            f = theta_ratio_core(c[:, None], pts[None, sel], sew, tw, b, u, ext[sel]).T
         else:
-            core = theta_ratio_core(pts[sel, None], c[None, :], sew, tw, b)
+            f = theta_ratio_core(pts[sel, None], c[None, :], sew, tw, b, ext[sel], u)
         # (1/2*pi*i) oint f t^-k dt = (1/M) sum_j f_j t_j^(1-k) -> DFT bin k-1
-        F = np.fft.fft(ext[sel, None] * u[None, :] * core, axis=1) / quad_M
+        F = np.fft.fft(f, axis=1) / quad_M
         out[sel] = r ** (1.0 - k) * F[:, :N]
     return out[0] if np.ndim(points) == 0 else out
 

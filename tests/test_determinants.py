@@ -44,6 +44,28 @@ def test_trace_log_rejects_expanding_matrix():
         det_I_minus(np.array([[2.0]]), method="trace_log")
 
 
+def test_trace_log_of_non_normal_matrix_beyond_unit_norm():
+    # ||M||_F = 3.07 but the spectral radius is 0.5: the eigenvalues decide
+    M = np.array([[0.5, 3.0], [0.0, -0.4j]])
+    assert np.linalg.norm(M) > 1.0
+    a = det_I_minus(M, method="trace_log")
+    b = det_I_minus(M, method="lu")
+    assert abs(a.value / b.value - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="spectral radius"):
+        det_I_minus(np.array([[1.0, 3.0], [0.0, 0.2]]), method="trace_log")
+
+
+def test_trace_log_skips_eigenvalues_below_unit_norm(monkeypatch):
+    # the spectral radius is at most ||M||_F, so a smaller norm proves
+    # convergence on its own
+    rng = np.random.default_rng(3)
+    M = _random_contraction(rng, 6)
+    M *= 0.5 / np.linalg.norm(M)
+    want = det_I_minus(M).value
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: pytest.fail("eigvals called"))
+    assert det_I_minus(M).value == want
+
+
 def test_det_I_minus_validates_input():
     with pytest.raises(ValueError):
         det_I_minus(np.ones((2, 3)))

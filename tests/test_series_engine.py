@@ -1,6 +1,8 @@
 """The series engine against plain references: the product-grid theta
-against a per-point loop and a 30-digit mpmath sum, the scaled Eisenstein
-table and P_2 against mpmath, and the lattice helpers against brute force.
+against a per-point loop and a 30-digit mpmath sum (also on wide grids),
+the tail-bound ranges against the old floors of SeriesBudget, the scaled
+Eisenstein table and P_2 against mpmath, and the lattice helpers against
+brute force.
 
 Tolerances come from the round-off of a double-precision lattice sum: a
 term exp(arg) carries a relative error of a few eps * (1 + |arg|), so two
@@ -16,7 +18,10 @@ import numpy as np
 import pytest
 
 from sewkernel import (
+    SeriesBudget,
     SewingConfig,
+    TwistConfig,
+    build_T,
     lattice_min_distance,
     nearest_lattice_point,
     theta_char_g1,
@@ -95,6 +100,53 @@ def test_theta_grid_matches_mpmath(alpha, beta, tau, cx, cy):
             ref = complex(_theta_mp(alpha, beta, z, tau))
             assert abs(grid[i, j] - ref) <= _roundoff(alpha, beta, z, tau)
             assert abs(theta_char_g1(alpha, beta, z, tau) - ref) <= _roundoff(alpha, beta, z, tau)
+
+
+WIDE_CASES = [
+    # three far points, |Re z| ~ 8, against a 256-point contour; every
+    # eighth column is checked
+    (np.array([8.0 + 0.3j, -8.1 + 0.4j, 7.9 - 0.6j]), 0.5 * np.exp(2j * np.pi * np.arange(256) / 256), 8),
+    # three near points against a row whose real parts span [-8, 8]: the
+    # largest terms of the entries of one row differ by a factor 1e59, so a
+    # flush against the largest term of the row would wipe out the small
+    # entries
+    (np.array([0.1 + 0.2j, 0.3 - 0.1j, -0.2 + 0.5j]), np.linspace(-8.0, 8.0, 64) + 0.2j, 3),
+]
+
+
+@pytest.mark.parametrize("x, y, step", WIDE_CASES)
+def test_wide_theta_grid_matches_mpmath(x, y, step):
+    # the tail-bound range and the flush of _theta_grid_factors drop nothing
+    # a 30-digit sum sees; the error is taken relative to sum_n |term_n|,
+    # since near a zero of theta the terms cancel
+    alpha, beta, tau = -0.35, 0.2 - 0.15j, 0.21 + 0.05j
+    grid = theta_char_g1_diff(alpha, beta, x[:, None], y[None, :], tau)
+    for i in range(x.size):
+        for j in range(0, y.size, step):
+            z = x[i] - y[j]
+            ref = complex(_theta_mp(alpha, beta, z, tau))
+            size = np.sum(np.exp(_terms(alpha, beta, z, tau).real))
+            assert abs(grid[i, j] - ref) <= 1e-13 * size
+
+
+def test_old_floors_change_nothing():
+    # the floors that the defaults were before: 33 theta terms, q-series to
+    # order 64; the tail bound alone loses nothing against them
+    old = SeriesBudget(lattice_cutoff=16, qseries_cutoff=64)
+    tau, w = 0.13 + 1.2j, 0.27 * 2.0 * np.pi * np.exp(0.6j)
+    ang = 2.0 * np.pi * np.arange(256) / 256
+    x = (w + 0.4 * np.exp(1j * ang))[:, None]
+    y = (0.3 * np.exp(1j * ang))[None, :]
+    sew = SewingConfig(tau, w, 3e-4 * np.exp(0.3j))
+    tw = TwistConfig(alpha1=0.15, beta1=0.25, beta2=0.1, kappa=0.2)
+    pairs = [
+        (theta_char_g1_diff(0.15, 0.25, x, y, tau, old), theta_char_g1_diff(0.15, 0.25, x, y, tau)),
+        (dedekind_eta(tau, old), dedekind_eta(tau)),
+        (build_T(16, sew, tw, 256, old), build_T(16, sew, tw, 256)),
+    ]
+    pairs += [(eisenstein_hat(k, tau, old), eisenstein_hat(k, tau)) for k in (8, 40, 432)]
+    for a, b in pairs:
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
 
 
 def test_theta_grid_is_selected_by_shape_only():

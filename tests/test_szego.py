@@ -175,6 +175,20 @@ def test_moment_blocks_slice_exactly_across_N(tw):
     assert all(np.array_equal(b16, b24[:16, :16]) for b16, b24 in zip(built[16], built[24]))
 
 
+def test_moment_block_sums_the_tail_bound_terms_only(tw, monkeypatch):
+    # at Im(tau) = 1.2 the Gaussian tail bound needs about 11 terms; every
+    # theta series of a cold block (contours, grids, constants) stays within
+    # 13, where a floor |n| <= 16 would sum 33
+    from sewkernel import elliptic
+
+    sizes = []
+    theta_range = elliptic._theta_range
+    monkeypatch.setattr(elliptic, "_theta_range", lambda *a: sizes.append(theta_range(*a).size) or theta_range(*a))
+    sew = SewingConfig(0.1 + 1.2j, 0.27 * 2.0 * np.pi * np.exp(2.2j), 3e-4)
+    moment_block(1, 2, 16, sew, tw, quad_M=256)
+    assert sizes and max(sizes) <= 13
+
+
 def test_surface_builds_each_contour_once(sew, tw, monkeypatch):
     # the four blocks share four contours, and half_diff reads the
     # full-radius ones from the same surface; a clipped radius is built anew
