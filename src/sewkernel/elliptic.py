@@ -353,24 +353,6 @@ def prime_form_K(z, tau, b=None):
     return val if np.ndim(val) else complex(val)
 
 
-def prime_form_K_diff(x, y, tau, b=None):
-    """K(x - y, tau) for broadcastable x and y, raising like prime_form_K
-    where some x - y is numerically on the lattice.
-
-    A column x and a row y are evaluated as a product grid (see
-    theta_char_g1_diff), and their lattice guard is decided from the
-    geometry of the grid: each point of one side is certified clear of the
-    lattice translates of the annulus that holds the other side, and only
-    the pairs of uncertified points are checked one by one (see
-    _check_off_lattice_grid).  The same grids raise as with a check of every
-    pair.
-    """
-    if not _is_grid(x, y):
-        return prime_form_K(np.asarray(x) - np.asarray(y), tau, b)
-    _check_off_lattice_grid(x, y, tau, "prime_form_K")
-    return theta_char_g1_diff(0.5, 0.5, x, y, tau, b) / theta1_prime0(tau, b)
-
-
 def dedekind_eta(tau, b=None):
     """Dedekind eta, q^(1/24) * prod_{n>=1} (1 - q^n).
 

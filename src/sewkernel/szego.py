@@ -41,7 +41,7 @@ from .elliptic import (
     _theta_grid_factors,
     lattice_min_distance,
     nearest_lattice_point,
-    prime_form_K_diff,
+    prime_form_K,
     theta1,
     theta1_prime0,
     theta_char_g1,
@@ -196,18 +196,22 @@ def _A_values(side, t, sew, b):
     return vals.reshape(t.shape)
 
 
+def _radial_phase(side, path, sew):
+    """Phase of A_c at the end of radial paths whose values run along axis 0
+    from the puncture centre: unwrapped from the principal phase at the
+    centre, plus 2*pi times the carried winding of puncture `side`."""
+    winding = sew.branch_n1 if side == 1 else sew.branch_n2
+    return np.unwrap(np.angle(path), axis=0)[-1] + 2.0 * np.pi * winding
+
+
 def _log_A_radial(side, t, sew, b, steps=_RADIAL_STEPS):
     """log A_c at scattered points, continued radially from the puncture
-    centre (principal log there).  Vectorised over t."""
+    centre (see _radial_phase).  Vectorised over t."""
     t = np.asarray(t, dtype=complex)
     s = np.linspace(0.0, 1.0, steps + 1)
     path = s[:, None] * t[None, ...].reshape(1, -1)
     vals = _A_values(side, path, sew, b)
-    ang = np.unwrap(np.angle(vals), axis=0)
-    out = np.log(np.abs(vals[-1])) + 1j * ang[-1]
-    winding = sew.branch_n1 if side == 1 else sew.branch_n2
-    if winding:
-        out = out + 2j * np.pi * winding
+    out = np.log(np.abs(vals[-1])) + 1j * _radial_phase(side, vals, sew)
     return out.reshape(t.shape)
 
 
@@ -217,9 +221,8 @@ def _log_A_circle(side, r, M, sew, b):
 
     A_c comes from one product grid of theta1 (see _A_values) over the
     circle and the _RADIAL_STEPS-step radial path from the centre to the
-    circle's first point together.  The path's phase, unwrapped from the
-    principal one at the centre, plus the carried winding, anchors the
-    circle's phase.  A phase that does not close around the circle raises
+    circle's first point together.  The path's phase (see _radial_phase)
+    anchors the circle's phase.  A phase that does not close around the circle raises
     RuntimeError.
     """
     theta = 2.0 * np.pi * np.arange(M) / M
@@ -233,8 +236,7 @@ def _log_A_circle(side, r, M, sew, b):
             "branch factor winds around the contour; radius outside the "
             "analyticity disk of the puncture factor"
         )
-    winding = sew.branch_n1 if side == 1 else sew.branch_n2
-    anchor = np.unwrap(np.angle(path))[-1] + 2.0 * np.pi * winding
+    anchor = _radial_phase(side, path, sew)
     return t, np.log(np.abs(circle)) + 1j * (ang[:-1] + (anchor - ang[0]))
 
 
@@ -249,8 +251,9 @@ def theta_ratio_core(x, y, sew, tw, b=None, wx=None, wy=None):
     theta1(x-y).  That constant and the weights are folded into the row and
     column factors of the numerator's matrix product (see
     elliptic._theta_grid_factors), so the grid is one matrix product divided
-    by the theta1 grid.  The lattice guard of prime_form_K_diff runs on every
-    grid.
+    by the theta1 grid.  Every grid goes through the lattice guard
+    elliptic._check_off_lattice_grid, which raises on exactly the grids on
+    which prime_form_K of some x_i - y_j raises.
     """
     tau, c = sew.tau, tw.kappa * sew.w
     den0 = theta_char_g1(tw.alpha1, tw.beta1, c, tau, b)
@@ -258,7 +261,7 @@ def theta_ratio_core(x, y, sew, tw, b=None, wx=None, wy=None):
     wy = 1.0 if wy is None else np.asarray(wy)
     if not _is_grid(x, y):
         num = theta_char_g1(tw.alpha1, tw.beta1, np.asarray(x) + c - np.asarray(y), tau, b)
-        return wx * wy * (num / (den0 * prime_form_K_diff(x, y, tau, b)))
+        return wx * wy * (num / (den0 * prime_form_K(np.asarray(x) - np.asarray(y), tau, b)))
     _check_off_lattice_grid(x, y, tau, "prime_form_K")
     left, right = _theta_grid_factors(tw.alpha1, tw.beta1, np.asarray(x) + c, y, tau, b)
     left *= np.reshape(theta1_prime0(tau, b) / den0 * wx, (-1, 1))
@@ -284,7 +287,7 @@ def s_kappa(x, y, sew, tw, b=None):
     tau, w, kap = sew.tau, sew.w, tw.kappa
     fx = (theta1(x - w, tau, b) / theta1(x, tau, b)) ** kap
     gy = (theta1(y, tau, b) / theta1(y - w, tau, b)) ** kap
-    val = fx * gy * theta_ratio_core(x, y, sew, tw, b)
+    val = theta_ratio_core(x, y, sew, tw, b, fx, gy)
     return complex(val) if np.ndim(val) == 0 else val
 
 
@@ -309,7 +312,7 @@ def s_kappa_regular(x_loc, y_loc, x_side, y_side, sew, tw, b=None):
     kap = tw.kappa
     ux = np.exp(kap * _log_A_radial(x_side, x_loc, sew, b))
     uy = np.exp(-kap * _log_A_radial(y_side, y_loc, sew, b))
-    val = ux * uy * theta_ratio_core(x, y, sew, tw, b)
+    val = theta_ratio_core(x, y, sew, tw, b, ux, uy)
     return complex(val) if np.ndim(val) == 0 else val
 
 
@@ -459,7 +462,7 @@ def half_diff(a, points, N, sew, tw, quad_M=256, b=None, bar=False):
     full-radius circle comes from the surface cache (see _Surface), a
     clipped one is built on the spot.  The lattice guard of each grid is
     decided from the distance of the points to the lattice translates of
-    the circle (see elliptic.prime_form_K_diff).
+    the circle (see elliptic._check_off_lattice_grid).
 
     `points` is a scalar (returns a length-N vector) or a 1-d array (returns
     an array of shape (len(points), N)).

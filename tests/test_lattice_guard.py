@@ -1,5 +1,5 @@
 """The lattice guard of product grids: the geometric certificate of
-prime_form_K_diff against the check of every pair, on contour-shaped and
+_check_off_lattice_grid against the check of every pair, on contour-shaped and
 scattered grids, with tau far from the fundamental domain, and the values of
 T against a per-pair evaluation of the moment grids."""
 
@@ -13,7 +13,6 @@ from sewkernel.elliptic import (
     _check_off_lattice_grid,
     _clear_of_lattice,
     prime_form_K,
-    prime_form_K_diff,
     theta_char_g1,
 )
 
@@ -68,11 +67,14 @@ def test_planted_lattice_pair_raises(tau, shape, planted, rng):
         y[7] = x[3] - lam
     else:
         x[3] = y[7] + lam
-    # both orientations of the grid, through the public grid path
+    # both orientations of the grid, through the guard and through the grid
+    # path of the kernel quotient
+    sew = SewingConfig(tau, TWO_PI_I * (0.5 * tau + 0.3), 1e-8)
+    tw = TwistConfig(0.1, 0.2, 0.3, 0.2)
     for col, row in ((x, y), (y, x)):
-        assert _brute(col, row, tau)
+        assert _brute(col, row, tau) and _guard(col, row, tau)
         with pytest.raises(ValueError):
-            prime_form_K_diff(col[:, None], row[None, :], tau)
+            szego.theta_ratio_core(col[:, None], row[None, :], sew, tw)
 
 
 @pytest.mark.parametrize("tau", TAUS)
