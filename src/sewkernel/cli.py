@@ -12,9 +12,10 @@ The config file is a JSON object with
 
 Complex numbers are {re, im} objects everywhere (input and output); CSV uses
 two columns per complex quantity.  Exit status: 0 = pass/success,
-1 = numerical check failure, 2 = validation error.  The environment variable
-SEWKERNEL_THREADS caps sweep parallelism.  Every output embeds schema, the
-full input configuration and the branch record, so reruns are reproducible.
+1 = numerical check failure, 2 = validation error.  Sweep points run in
+order in the calling thread and share the surface cache (szego._surface).
+Every output embeds schema, the full input configuration and the branch
+record, so reruns are reproducible.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -283,17 +282,6 @@ def _apply_axis(params, name, value):
     return params
 
 
-def _max_threads():
-    env = os.environ.get("SEWKERNEL_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"bad SEWKERNEL_THREADS value {env!r}") from exc
-        return max(1, n)
-    return min(4, os.cpu_count() or 1)
-
-
 def _sweep(cfg):
     target = cfg.get("target")
     params = cfg.get("parameters", {})
@@ -329,9 +317,7 @@ def _sweep(cfg):
             row["value"] = complex(value)
         return row
 
-    with ThreadPoolExecutor(max_workers=_max_threads()) as pool:
-        rows = list(pool.map(run_one, points))
-    return rows
+    return [run_one(vals) for vals in points]
 
 
 # --------------------------------------------------------------------- output

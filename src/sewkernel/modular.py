@@ -132,12 +132,25 @@ class LiftedPoint:
 
 
 def _path_log_K(w0, delta, tau, b, steps=400):
-    """Increment of log K(w0 + s*delta, tau) continued along s in [0, 1]."""
-    s = np.linspace(0.0, 1.0, steps + 1)
-    vals = prime_form_K(w0 + s * delta, tau, b)
-    ang = np.unwrap(np.angle(vals))
-    if np.max(np.abs(np.diff(ang))) > 0.5 * np.pi:
-        return _path_log_K(w0, delta, tau, b, steps * 4)
+    """Increment of log K(w0 + s*delta, tau) continued along s in [0, 1].
+
+    The path starts at `steps` steps and is refined fourfold until every
+    step of the phase of K is at most pi/2; RuntimeError where 102,400 steps
+    do not suffice, since the winding is then not certified (the path passes
+    too close to a zero of K, i.e. a lattice point).
+    """
+    while True:
+        s = np.linspace(0.0, 1.0, steps + 1)
+        vals = prime_form_K(w0 + s * delta, tau, b)
+        ang = np.unwrap(np.angle(vals))
+        if np.max(np.abs(np.diff(ang))) <= 0.5 * np.pi:
+            break
+        if steps >= 102_400:
+            raise RuntimeError(
+                f"log K continuation: a phase step above pi/2 at {steps} steps; the "
+                "translation path passes too close to a lattice point"
+            )
+        steps *= 4
     return complex(
         np.log(abs(vals[-1])) - np.log(abs(vals[0])) + 1j * (ang[-1] - ang[0])
     )

@@ -365,8 +365,9 @@ def _contour(side, r, M, sew, tw, b):
 
 
 class _Surface:
-    """Cached state of one surface (sew, tw, quad_M, budget): its contours
-    by (side, radius), and each moment block at the largest N built so far.
+    """Cached state of one rho-free geometry (see _surface): its contours by
+    (side, radius), and each moment block at the largest N built so far.
+    Its sew and tw carry an admissible rho and beta2 = 0, read by nothing.
 
     Row k and column l of a block do not depend on N, so a block is served
     at any smaller N as a slice, and rebuilt only for a larger N.  The full
@@ -376,8 +377,10 @@ class _Surface:
     same contour or block twice; each call returns what it built or found.
     """
 
-    def __init__(self, sew, tw, quad_M, budget):
-        self.sew, self.tw, self.quad_M, self.budget = sew, tw, quad_M, budget
+    def __init__(self, tau, w, r1, r2, n1, n2, alpha1, beta1, kappa, quad_M, budget):
+        self.sew = SewingConfig(tau, w, 0.25 * r1 * r2, r1, r2, branch_n1=n1, branch_n2=n2)
+        self.tw = TwistConfig(alpha1, beta1, 0.0, kappa)
+        self.quad_M, self.budget = quad_M, budget
         self.contours = {}
         self.blocks = {}
 
@@ -415,9 +418,16 @@ class _Surface:
 
 
 @lru_cache(maxsize=256)
-def _moment_block_cached(sew, tw, quad_M, budget):
-    """The one _Surface of (sew, tw, quad_M, budget)."""
-    return _Surface(sew, tw, quad_M, budget)
+def _moment_block_cached(key):
+    """The one _Surface of a rho-free key (see _surface)."""
+    return _Surface(*key)
+
+
+def _surface(sew, tw, quad_M, b):
+    """The cached _Surface of the fields of (sew, tw) that contours and blocks
+    read: rho, log_rho, beta2 and B enter T only outside the blocks."""
+    return _moment_block_cached((sew.tau, sew.w, sew.r1, sew.r2, sew.branch_n1, sew.branch_n2,
+                                 tw.alpha1, tw.beta1, tw.kappa, int(quad_M), b or DEFAULT_BUDGET))
 
 
 def moment_block(a, bidx, N, sew, tw, quad_M=256, b=None):
@@ -425,11 +435,12 @@ def moment_block(a, bidx, N, sew, tw, quad_M=256, b=None):
 
     The first index a refers to the x-contour taken around puncture abar
     (a = 1 -> x near w), the second to the y-contour around puncture b.
-    The block is cached per surface at the largest N built so far.
+    The block does not depend on rho, log_rho, beta2 or B; it is cached per
+    rho-free geometry (see _surface) at the largest N built so far.
     """
     if a not in (1, 2) or bidx not in (1, 2):
         raise ValueError("block indices must be 1 or 2")
-    return _moment_block_cached(sew, tw, int(quad_M), b or DEFAULT_BUDGET).block(a, bidx, int(N))
+    return _surface(sew, tw, quad_M, b).block(a, bidx, int(N))
 
 
 def puncture_distance(z, side, sew):
@@ -480,7 +491,7 @@ def half_diff(a, points, N, sew, tw, quad_M=256, b=None, bar=False):
     k = np.arange(1, N + 1, dtype=float)
     out = np.empty((pts.size, N), dtype=complex)
     sign = +1 if bar else -1
-    surface = _moment_block_cached(sew, tw, int(quad_M), b or DEFAULT_BUDGET)
+    surface = _surface(sew, tw, quad_M, b)
     for r in np.unique(radii):
         sel = radii == r
         if r == r_full:

@@ -14,6 +14,7 @@ from sewkernel import (
     invariance_residual,
     zhat,
 )
+from sewkernel import modular
 from sewkernel.modular import _GEN_MATRIX
 
 TAU = 0.25 + 1.2j
@@ -81,6 +82,23 @@ def test_act_point_sl2(point):
     assert abs(pS.rho - point.rho / point.tau**2) < 1e-12
     pT = act_point(GroupElement.from_string("T"), point)
     assert abs(pT.tau - (point.tau + 1.0)) < 1e-12
+
+
+def test_translation_path_near_a_lattice_point_raises(monkeypatch):
+    # the straight path of B from w passes the lattice point 2*pi*i at
+    # distance `off`; the phase refinement of log K stops at its cap and
+    # raises instead of growing toward the memory limit
+    tau = 0.1 + 1.2j
+    w0 = 1j * (np.pi + 0.37 * 2.0 * np.pi / 400)
+    B = GroupElement.from_string("B")
+    q = act_point(B, LiftedPoint(tau, w0 + 1e-3, 1e-4))
+    assert (q.m, q.n1, q.n2) == (0, 0, -1)
+    points = []
+    pfk = modular.prime_form_K
+    monkeypatch.setattr(modular, "prime_form_K", lambda z, *a: points.append(np.size(z)) or pfk(z, *a))
+    with pytest.raises(RuntimeError, match="lattice point"):
+        act_point(B, LiftedPoint(tau, w0 + 1e-6, 1e-4))
+    assert sum(points) < 200_000
 
 
 def test_act_point_roundtrips(point):

@@ -195,12 +195,12 @@ def test_fock_sum_builds_the_moment_grids_once(sew, tw, monkeypatch):
     # builds each of its four grids once, at the largest
     from sewkernel import szego
 
-    s = SewingConfig(sew.tau, sew.w, 0.5 * sew.rho)
+    szego._moment_block_cached.cache_clear()
     grids = []
     core = szego.theta_ratio_core
     monkeypatch.setattr(szego, "theta_ratio_core", lambda *a: grids.append(1) or core(*a))
     misses = szego._moment_block_cached.cache_info().misses
-    fock_sum_oracle(3, s, tw, quad_M=128)
+    fock_sum_oracle(3, sew, tw, quad_M=128)
     assert len(grids) == 4
     assert szego._moment_block_cached.cache_info().misses == misses + 1
 

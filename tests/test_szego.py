@@ -1,6 +1,8 @@
 """Unit tests for the twisted genus-one kernel, its branch bookkeeping and the
 expansion-moment machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +205,33 @@ def test_surface_builds_each_contour_once(sew, tw, monkeypatch):
     assert len(calls) == 4
     half_diff(1, 0.2 * s.r1, 8, s, tw, quad_M=64)  # clipped to 0.14 * r1
     assert len(calls) == 5 and calls[-1][1] < s.r1
+
+
+def test_surface_is_keyed_on_the_rho_free_geometry(sew, tw, monkeypatch):
+    # rho, log_rho, beta2 and B enter T outside the moment blocks: T at
+    # 1.5 rho on another log_rho branch, with another beta2 and B, reuses
+    # the surface of the first T and equals a cold build bit for bit
+    szego._moment_block_cached.cache_clear()
+    grids = []
+    core = szego.theta_ratio_core
+    monkeypatch.setattr(szego, "theta_ratio_core", lambda *a: grids.append(1) or core(*a))
+    build_T(8, sew, tw, quad_M=64)
+    s = SewingConfig(sew.tau, sew.w, 1.5 * sew.rho, log_rho=np.log(1.5 * sew.rho) + TWO_PI_I)
+    t = replace(tw, beta2=-0.3, B=3)
+    T = build_T(8, s, t, quad_M=64)
+    assert szego._moment_block_cached.cache_info().misses == 1
+    assert len(grids) == 4
+    szego._moment_block_cached.cache_clear()
+    assert np.array_equal(T, build_T(8, s, t, quad_M=64))
+
+
+def test_transport_by_C_builds_one_surface(tw):
+    # C changes only beta2 and log_rho, so both ends share one surface
+    from sewkernel import GroupElement, LiftedPoint, invariance_residual
+
+    szego._moment_block_cached.cache_clear()
+    invariance_residual(GroupElement.from_string("C"), LiftedPoint(TAU, W, 1e-3), tw, 8, 64)
+    assert szego._moment_block_cached.cache_info().misses == 1
 
 
 def test_half_diff_reconstructs_kernel(sew, tw):
