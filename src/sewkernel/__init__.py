@@ -3,8 +3,6 @@ modular multiplier systems in the rho-sewing scheme of a twice-punctured
 torus."""
 
 from .elliptic import (
-    DEFAULT_BUDGET,
-    SeriesBudget,
     dedekind_eta,
     eisenstein,
     lattice_min_distance,

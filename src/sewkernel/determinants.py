@@ -1,6 +1,7 @@
 """Determinant evaluations for the sewing formalism: det(I - T) by trace-log
-series or pivoted LU, the bosonic moment matrix R with det(I - R)^(-1/2)
-continued from rho = 0, and finite minor expansions used as oracles."""
+series or pivoted LU, the bosonic moment matrix R with det(I - R)^(-1/2) on
+the branch continued from rho = 0, read off the same trace-log series, and
+finite minor expansions used as oracles."""
 
 from __future__ import annotations
 
@@ -10,12 +11,8 @@ from itertools import combinations
 import numpy as np
 from scipy.special import gammaln
 
-from .elliptic import (
-    DEFAULT_BUDGET,
-    eisenstein_hat,
-    weierstrass_P,
-    weierstrass_P_orders,
-)
+from .elliptic import eisenstein_hat, weierstrass_P, weierstrass_P_orders
+from .szego import _check_order
 
 
 @dataclass(frozen=True)
@@ -56,20 +53,26 @@ def det_I_minus(M, method="trace_log"):
         radius = np.max(np.abs(np.linalg.eigvals(M)))
         if radius >= 1.0:
             raise ValueError(f"trace-log series diverges: spectral radius {radius:g} >= 1")
+    acc, last = _trace_log(M)
+    val = np.exp(acc)
+    return DetResult(complex(val), n, "trace_log", float(abs(val)) * max(last, 1e-16))
+
+
+def _trace_log(M):
+    """log det(I - M) = -sum_k tr(M^k)/k, summed until a term is below
+    TRACE_REL_TOL of the partial sum, for M of spectral radius below 1;
+    returns (log det, modulus of the last term).  The sum is that of the
+    principal log(1 - lambda) over the eigenvalues lambda of M."""
     acc = 0.0 + 0.0j
-    P = np.eye(n, dtype=complex)
-    last = np.inf
+    P = np.eye(M.shape[0], dtype=complex)
     for k in range(1, TRACE_MAX_TERMS + 1):
         P = P @ M
         term = np.trace(P) / k
         acc -= term
         last = abs(term)
         if last < TRACE_REL_TOL * max(abs(acc), 1e-300):
-            break
-    else:
-        raise RuntimeError("trace-log series did not converge within the term cap")
-    val = np.exp(acc)
-    return DetResult(complex(val), n, "trace_log", float(abs(val)) * max(last, 1e-16))
+            return acc, last
+    raise RuntimeError("trace-log series did not converge within the term cap")
 
 
 def _moment_factor(k, l):
@@ -77,21 +80,21 @@ def _moment_factor(k, l):
     return (-1.0) ** (k + 1) * np.exp(gammaln(k + l) - gammaln(k) - gammaln(l))
 
 
-def moment_C_boson(k, l, tau, b=None):
+def moment_C_boson(k, l, tau):
     """Bosonic moment C(k, l, tau) = (-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!)
     E_{k+l}(tau)."""
     m = k + l
-    ehat = eisenstein_hat(m, tau, b)
+    ehat = eisenstein_hat(m, tau)
     return complex(_moment_factor(k, l) * ehat[m] * (2.0 * np.pi) ** -m)
 
 
-def moment_D_boson(k, l, tau, z, b=None):
+def moment_D_boson(k, l, tau, z):
     """Bosonic moment D(k, l, tau, z): as moment_C_boson but with the
     Weierstrass function P_{k+l}(tau, z) in place of E_{k+l}(tau)."""
-    return complex(_moment_factor(k, l) * weierstrass_P(k + l, z, tau, b))
+    return complex(_moment_factor(k, l) * weierstrass_P(k + l, z, tau))
 
 
-def build_R(N, sew, b=None):
+def build_R(N, sew):
     """2N x 2N bosonic moment matrix R, blocks indexed like build_T:
 
         R_ab(k, l) = -(rho^((k+l)/2) / sqrt(k*l))
@@ -101,12 +104,12 @@ def build_R(N, sew, b=None):
     One table of Ehat_m = (2*pi)^m E_m(tau) serves both the Eisenstein
     values of C and the Laurent series of every P_m(tau, w), m <= 2N.
     """
-    b = b or DEFAULT_BUDGET
+    N = _check_order(N)
     tau = sew.tau
-    ehat = eisenstein_hat(2 * N + 400, tau, b)
+    ehat = eisenstein_hat(2 * N + 400, tau)
     orders = np.arange(2, 2 * N + 1)
     P = np.zeros(2 * N + 1, dtype=complex)
-    P[orders] = weierstrass_P_orders(orders, sew.w, tau, ehat, b)
+    P[orders] = weierstrass_P_orders(orders, sew.w, tau, ehat)
     E = ehat[: 2 * N + 1] * (2.0 * np.pi) ** -np.arange(2 * N + 1.0)
     k = np.arange(1, N + 1)
     K, L = k[:, None], k[None, :]
@@ -117,35 +120,29 @@ def build_R(N, sew, b=None):
     return np.block([[D, C], [C, D.T]])
 
 
-def det_inv_sqrt_I_minus_R(N, sew, b=None, n_path=16):
-    """det(I - R)^(-1/2) with the square-root branch fixed by analytic
-    continuation from rho = 0 (where the value is 1) along the ray s*rho,
-    s in [0, 1].
+def det_inv_sqrt_I_minus_R(N, sew):
+    """det(I - R)^(-1/2) on the branch continued from rho = 0, where the
+    value is 1, along the ray s*rho, s in [0, 1].
 
-    Scaling rho by s multiplies the (k, l) entry of R by s^((k+l)/2), so the
-    whole path is obtained from one matrix assembly.  The path starts at
-    max(4, n_path) points and doubles until every step of the argument of
-    det(I - s^e R) is below pi/2; RuntimeError where 1024 points do not
-    suffice, since the branch is then not certified.
+    Scaling rho by s gives R(s*rho) = D_s R D_s with D_s = diag(s^(k/2)),
+    ||D_s||_2 <= 1, so where ||R||_2 < 1 every matrix on the ray has spectral
+    norm below 1.  The trace-log series of log det(I - R(s*rho)) (see
+    _trace_log) then converges all along the ray, is analytic in s and
+    vanishes at s = 0: it is the continued log det, and the value is
+    exp(-log det / 2).  ValueError where ||R||_2 >= 1, since the branch is
+    then not certified.
     """
-    R = build_R(N, sew, b)
-    k = np.arange(1, N + 1, dtype=float)
-    expo = 0.5 * (np.tile(k, 2)[:, None] + np.tile(k, 2)[None, :])
-    n = max(4, n_path)
-    while True:
-        s = np.linspace(0.0, 1.0, n + 1)[1:]
-        dets = [np.linalg.det(np.eye(2 * N) - sv**expo * R) for sv in s]
-        args = np.unwrap(np.concatenate([[0.0], np.angle(dets)]))
-        # demand a well-resolved path: successive argument steps below pi/2
-        if np.max(np.abs(np.diff(args))) < 0.5 * np.pi:
-            break
-        if n >= 1024:
-            raise RuntimeError(
-                "det(I - R)^(-1/2): the continuation path has an argument step of "
-                "pi/2 or more at 1024 points; the square-root branch is not resolved"
+    R = build_R(N, sew)
+    # the spectral norm is at most the Frobenius norm, so only a norm of 1
+    # or more (or NaN) needs the singular values
+    if not np.linalg.norm(R) < 1.0:
+        norm = np.linalg.norm(R, 2)
+        if not norm < 1.0:
+            raise ValueError(
+                f"det(I - R)^(-1/2): ||R||_2 = {norm:g} >= 1, so the branch continued "
+                "from rho = 0 is not certified"
             )
-        n *= 2
-    logdet = np.log(abs(dets[-1])) + 1j * args[-1]
+    logdet, _ = _trace_log(R)
     return complex(np.exp(-0.5 * logdet))
 
 

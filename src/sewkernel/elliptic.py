@@ -26,10 +26,11 @@ double-precision round-off relative to the largest term kept:
   to at most 2*exp(-pi*t*W^2)/(1 - exp(-2*pi*t*W)) times the largest term,
   and W is chosen so that this is below round-off;
 * the q-series (eta, the Eisenstein table) stop where their geometric tail
-  is below round-off.
+  is below round-off;
+* the Laurent series of the Weierstrass-type functions stop after three
+  consecutive terms below _LAURENT_RTOL of the partial sum.
 
-The tail bound alone fixes every range: SeriesBudget.lattice_cutoff and
-SeriesBudget.qseries_cutoff default to 0 and act only as optional floors.
+No caller sets a range or a tolerance: the tail bounds alone fix them.
 On a product grid, theta[alpha; beta](x_i - y_j) for a column x and a row
 y, the lattice sum separates into one matrix product (see
 theta_char_g1_diff), whose terms far below round-off of every entry are
@@ -38,7 +39,6 @@ dropped before the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, floor, log
 
 import numpy as np
@@ -50,38 +50,10 @@ LOG_2PI = log(2.0 * np.pi)
 # a tail below exp(-_LOG_EPS) of the largest term is below round-off
 _LOG_EPS = -log(np.finfo(float).eps)
 
-# number of terms of the Laurent series of P_m (orders k = m, m + 2, ...)
+# number of terms of the Laurent series of P_m (orders k = m, m + 2, ...),
+# and the relative size below which three consecutive terms stop it
 _LAURENT_TERMS = 200
-
-
-@dataclass(frozen=True)
-class SeriesBudget:
-    """Truncation/accuracy budget for the various infinite series.
-
-    Attributes
-    ----------
-    lattice_cutoff : int
-        Optional floor on the summation range |n| <= lattice_cutoff of
-        theta-type lattice sums.  The default 0 leaves the range to the tail
-        bound, which already puts the dropped terms below round-off.
-    qseries_cutoff : int
-        Optional floor on the truncation order of q-expansions (eta,
-        Eisenstein series); the default 0 leaves it to the tail bound.
-    rel_tol : float
-        Relative size below which three consecutive terms stop the Laurent
-        series of the Weierstrass-type functions.
-    """
-
-    lattice_cutoff: int = 0
-    qseries_cutoff: int = 0
-    rel_tol: float = 1e-12
-
-
-DEFAULT_BUDGET = SeriesBudget()
-
-
-def _budget(b):
-    return DEFAULT_BUDGET if b is None else b
+_LAURENT_RTOL = 1e-12
 
 
 def _check_tau(tau):
@@ -229,25 +201,24 @@ def _check_off_lattice_grid(x, y, tau, what):
     _check_off_lattice(x[rows, None] - y[None, cols], tau, what)
 
 
-def _theta_range(alpha, re_zz, tau, b):
+def _theta_range(alpha, re_zz, tau):
     """Summation points nu = n + alpha of a theta series whose linear
     coefficients zz have real parts re_zz (any shape).
 
     The terms have modulus exp(-pi*t*nu^2 + a*nu), largest at a/(2*pi*t);
     the range reaches W = sqrt((_LOG_EPS + log 2)/(pi*t)) + 1 beyond the
-    centres of every a, which puts the two tails below round-off, and it
-    contains |n| <= b.lattice_cutoff where that floor is set.
+    centres of every a, which puts the two tails below round-off.
     """
     t = np.imag(tau)
     half = np.sqrt((_LOG_EPS + log(2.0)) / (np.pi * t)) + 1.0
     alpha_re = float(np.real(alpha))
     lo = floor(np.min(re_zz, initial=0.0) / (2.0 * np.pi * t) - half - alpha_re)
     hi = ceil(np.max(re_zz, initial=0.0) / (2.0 * np.pi * t) + half - alpha_re)
-    n = np.arange(min(lo, -b.lattice_cutoff), max(hi, b.lattice_cutoff) + 1, dtype=float)
+    n = np.arange(lo, hi + 1, dtype=float)
     return n + alpha
 
 
-def theta_char_g1(alpha, beta, z, tau, b=None):
+def theta_char_g1(alpha, beta, z, tau):
     """Genus-one theta function with characteristics [alpha; beta].
 
     Parameters
@@ -256,16 +227,14 @@ def theta_char_g1(alpha, beta, z, tau, b=None):
         second characteristic)
     z : scalar or ndarray (complex)
     tau : complex, Im(tau) > 0
-    b : SeriesBudget, optional
 
     Returns a value (or array) of
 
         sum_n exp(i*pi*(n+alpha)^2*tau + (n+alpha)*(z + 2*pi*i*beta)).
     """
-    b = _budget(b)
     _check_tau(tau)
     zz = np.asarray(z, dtype=complex) + TWO_PI_I * beta
-    nu = _theta_range(alpha, zz.real, tau, b)
+    nu = _theta_range(alpha, zz.real, tau)
     val = np.exp(1j * np.pi * nu**2 * tau + nu * zz[..., None]).sum(axis=-1)
     return val if val.shape else complex(val)
 
@@ -275,7 +244,7 @@ def _is_grid(x, y):
     return np.ndim(x) == 2 and np.ndim(y) == 2 and np.shape(x)[1] == 1 and np.shape(y)[0] == 1
 
 
-def _theta_grid_factors(alpha, beta, x, y, tau, b=None):
+def _theta_grid_factors(alpha, beta, x, y, tau):
     """Factors (left, right) of the product grid theta[alpha; beta](x - y)
     for a column x (M, 1) and a row y (1, K): left is M x n, right n x K and
     the grid is left @ right (see theta_char_g1_diff).
@@ -291,14 +260,13 @@ def _theta_grid_factors(alpha, beta, x, y, tau, b=None):
     spread widely, the entries of one row differ by many orders of
     magnitude.
     """
-    b = _budget(b)
     _check_tau(tau)
     xx = np.asarray(x, dtype=complex)[:, 0] + TWO_PI_I * beta
     yy = np.asarray(y, dtype=complex)[0]
     # the real parts of xx_i - y_j lie in [lo, hi]
     lo = np.min(xx.real, initial=0.0) - np.max(yy.real, initial=0.0)
     hi = np.max(xx.real, initial=0.0) - np.min(yy.real, initial=0.0)
-    nu = _theta_range(alpha, np.array([lo, hi]), tau, b)
+    nu = _theta_range(alpha, np.array([lo, hi]), tau)
     left = np.exp(1j * np.pi * nu**2 * tau + np.multiply.outer(xx, nu))
     right = np.exp(-np.multiply.outer(nu, yy))
     mag = np.abs(right)
@@ -308,7 +276,7 @@ def _theta_grid_factors(alpha, beta, x, y, tau, b=None):
     return left, right
 
 
-def theta_char_g1_diff(alpha, beta, x, y, tau, b=None):
+def theta_char_g1_diff(alpha, beta, x, y, tau):
     """theta[alpha; beta](x - y, tau) for broadcastable x and y.
 
     For a column x (M, 1) and a row y (1, K) the lattice sum separates,
@@ -322,25 +290,24 @@ def theta_char_g1_diff(alpha, beta, x, y, tau, b=None):
     other shapes are evaluated pointwise by theta_char_g1.
     """
     if not _is_grid(x, y):
-        return theta_char_g1(alpha, beta, np.asarray(x) - np.asarray(y), tau, b)
-    left, right = _theta_grid_factors(alpha, beta, x, y, tau, b)
+        return theta_char_g1(alpha, beta, np.asarray(x) - np.asarray(y), tau)
+    left, right = _theta_grid_factors(alpha, beta, x, y, tau)
     return left @ right
 
 
-def theta1(z, tau, b=None):
+def theta1(z, tau):
     """Odd theta function theta[1/2; 1/2](z, tau)."""
-    return theta_char_g1(0.5, 0.5, z, tau, b)
+    return theta_char_g1(0.5, 0.5, z, tau)
 
 
-def theta1_prime0(tau, b=None):
+def theta1_prime0(tau):
     """z-derivative of theta1 at z = 0 (term-wise differentiated series)."""
-    b = _budget(b)
     _check_tau(tau)
-    nu = _theta_range(0.5, 0.0, tau, b)
+    nu = _theta_range(0.5, 0.0, tau)
     return complex(np.sum(nu * np.exp(1j * np.pi * nu**2 * tau + 1j * np.pi * nu)))
 
 
-def prime_form_K(z, tau, b=None):
+def prime_form_K(z, tau):
     """Prime form K(z, tau) = theta1(z, tau) / theta1'(0, tau); K ~ z at 0.
 
     Vanishes exactly on the lattice; raises if z is numerically on Lambda
@@ -349,23 +316,22 @@ def prime_form_K(z, tau, b=None):
     """
     z = np.asarray(z, dtype=complex)
     _check_off_lattice(z, tau, "prime_form_K")
-    val = theta1(z, tau, b) / theta1_prime0(tau, b)
+    val = theta1(z, tau) / theta1_prime0(tau)
     return val if np.ndim(val) else complex(val)
 
 
-def dedekind_eta(tau, b=None):
+def dedekind_eta(tau):
     """Dedekind eta, q^(1/24) * prod_{n>=1} (1 - q^n).
 
     The product is expanded with the pentagonal number theorem; its terms
     q^e are kept up to the order e at which the geometric tail
     |q|^e / (1 - |q|) is below round-off.
     """
-    b = _budget(b)
     _check_tau(tau)
     q = np.exp(TWO_PI_I * tau)
     t = np.imag(tau)
     tail = _LOG_EPS - np.log1p(-abs(q))
-    order = max(b.qseries_cutoff, ceil(tail / (2.0 * np.pi * t)))
+    order = ceil(tail / (2.0 * np.pi * t))
     total = 1.0 + 0.0j
     m = 1
     while m * (3 * m - 1) // 2 <= order:
@@ -376,7 +342,7 @@ def dedekind_eta(tau, b=None):
     return np.exp(TWO_PI_I * tau / 24.0) * total
 
 
-def _ehat_lambert(k, tau, log_u, b):
+def _ehat_lambert(k, tau, log_u):
     """u^(-k) * Ehat_k(tau), log_u = log(u), for the even orders k >= 2 in
     the array k, from the Lambert series of E_k (see eisenstein),
 
@@ -394,7 +360,7 @@ def _ehat_lambert(k, tau, log_u, b):
     x0 = 2.0 * np.pi * t * d0
     log_d0 = (k - 1) * log(2.0 * np.pi * d0) + LOG_2PI - gammaln(k) - x0 - np.log1p(-np.exp(-x0))
     peak = np.max(log_d0) + _LOG_EPS - np.log1p(-np.exp(-np.pi * t))
-    d_max = max(b.qseries_cutoff, d0 + max(0, ceil(peak / (np.pi * t))))
+    d_max = d0 + max(0, ceil(peak / (np.pi * t)))
     d = np.arange(1, d_max + 1)
     log_lambert = TWO_PI_I * tau * d - np.log1p(-np.exp(TWO_PI_I * tau * d))
     scale = k * log_u
@@ -406,7 +372,7 @@ def _ehat_lambert(k, tau, log_u, b):
     return (-1.0) ** (k // 2) * 2.0 * zeta(k) * np.exp(-scale) + 2.0 * np.exp(logs).sum(axis=1)
 
 
-def eisenstein_hat(kmax, tau, b=None):
+def eisenstein_hat(kmax, tau):
     """Table of the scaled Eisenstein series Ehat_k = (2*pi)^k * E_k(tau),
     k = 0..kmax, as an array indexed by k (zero at odd k and at k < 2).
 
@@ -420,7 +386,6 @@ def eisenstein_hat(kmax, tau, b=None):
     tau_r is not tau plus an integer, it is summed at tau itself, where its
     terms d*q^d/(1 - q^d) do not cancel that way.
     """
-    b = _budget(b)
     _check_tau(tau)
     out = np.zeros(kmax + 1, dtype=complex)
     k = np.arange(2, kmax + 1, 2)
@@ -431,13 +396,13 @@ def eisenstein_hat(kmax, tau, b=None):
     tau_r = (n2 + m2 * tau) / u
     if tau_r.imag < 0:
         tau_r = -tau_r
-    out[k] = _ehat_lambert(k, tau_r, np.log(u), b)
+    out[k] = _ehat_lambert(k, tau_r, np.log(u))
     if m1:
-        out[2] = _ehat_lambert(k[:1], tau, 0.0, b)[0]
+        out[2] = _ehat_lambert(k[:1], tau, 0.0)[0]
     return out
 
 
-def eisenstein(k, tau, b=None):
+def eisenstein(k, tau):
     """Eisenstein series E_k(tau) in the normalisation fixed by the
     Laurent expansion of the Weierstrass-type function P_2 (see
     weierstrass_P): P_2(tau, z) - 1/z^2 = sum_{k>=2} (k-1) E_k(tau) z^(k-2).
@@ -451,19 +416,18 @@ def eisenstein(k, tau, b=None):
         raise ValueError("eisenstein requires k >= 2")
     if k % 2 == 1:
         return 0.0j
-    return complex(eisenstein_hat(k, tau, b)[k] * (2.0 * np.pi) ** -k)
+    return complex(eisenstein_hat(k, tau)[k] * (2.0 * np.pi) ** -k)
 
 
-def weierstrass_P_orders(ms, z, tau, ehat, b=None):
+def weierstrass_P_orders(ms, z, tau, ehat):
     """P_m(tau, z) for every order m in the integer array ms, from a table
     ehat = eisenstein_hat(kmax, tau) with kmax >= max(ms) + 399.
 
     Each Laurent series (see weierstrass_P) is summed over its first
     _LAURENT_TERMS terms and stopped after three consecutive terms below
-    b.rel_tol relative to the partial sum; a series that does not stop
+    _LAURENT_RTOL relative to the partial sum; a series that does not stop
     raises RuntimeError.
     """
-    b = _budget(b)
     _check_tau(tau)
     z = complex(z)
     lam, _, _ = nearest_lattice_point(z, tau)
@@ -477,14 +441,14 @@ def weierstrass_P_orders(ms, z, tau, ehat, b=None):
     log_coef = gammaln(k) - gammaln(k - m + 1) - gammaln(m) + (k - m) * np.log(z / (2.0 * np.pi))
     terms = (-1.0) ** m * (2.0 * np.pi) ** -m * np.exp(log_coef) * ehat[k]
     totals = z**-m + np.cumsum(terms, axis=1)
-    small = np.abs(terms) < b.rel_tol * np.maximum(np.abs(totals), 1e-300)
+    small = np.abs(terms) < _LAURENT_RTOL * np.maximum(np.abs(totals), 1e-300)
     stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
     if not stop.any(axis=1).all():
         raise RuntimeError("weierstrass_P series did not converge; |z| too close to D(q)?")
     return totals[np.arange(len(m)), stop.argmax(axis=1) + 2]
 
 
-def weierstrass_P(m, z, tau, b=None):
+def weierstrass_P(m, z, tau):
     """Weierstrass-type function P_m(tau, z), m >= 2, on 2*pi*i*(Z*tau + Z).
 
     P_2 = wp + E_2 has Laurent expansion 1/z^2 + sum_{k>=2}(k-1) E_k z^(k-2)
@@ -496,11 +460,11 @@ def weierstrass_P(m, z, tau, b=None):
     z is reduced modulo the lattice to the representative nearest the origin
     before the Laurent series is summed.
     """
-    ehat = eisenstein_hat(m + 2 * _LAURENT_TERMS, tau, b)
-    return complex(weierstrass_P_orders([m], z, tau, ehat, b)[0])
+    ehat = eisenstein_hat(m + 2 * _LAURENT_TERMS, tau)
+    return complex(weierstrass_P_orders([m], z, tau, ehat)[0])
 
 
-def twisted_P1(theta_mult, phi_mult, z, tau, b=None):
+def twisted_P1(theta_mult, phi_mult, z, tau):
     """Twisted Weierstrass kernel P_1[theta; phi](z, tau) for multipliers
     theta = -exp(-2*pi*i*beta), phi = -exp(2*pi*i*alpha):
 
@@ -514,19 +478,19 @@ def twisted_P1(theta_mult, phi_mult, z, tau, b=None):
         raise ValueError("twisted_P1 undefined for trivial multipliers (theta, phi) = (1, 1)")
     alpha = np.angle(-phi_mult) / (2.0 * np.pi)
     beta = -np.angle(-theta_mult) / (2.0 * np.pi)
-    return twisted_P1_char(alpha, beta, z, tau, b)
+    return twisted_P1_char(alpha, beta, z, tau)
 
 
-def twisted_P1_char(alpha, beta, z, tau, b=None):
+def twisted_P1_char(alpha, beta, z, tau):
     """P_1 kernel written directly in terms of characteristics [alpha; beta]."""
-    num = theta_char_g1(alpha, beta, z, tau, b)
-    den = theta_char_g1(alpha, beta, 0.0, tau, b)
+    num = theta_char_g1(alpha, beta, z, tau)
+    den = theta_char_g1(alpha, beta, 0.0, tau)
     if abs(den) < 1e-300:
         raise ValueError("theta[alpha; beta](0) vanishes; kernel undefined")
-    return num / den / prime_form_K(z, tau, b)
+    return num / den / prime_form_K(z, tau)
 
 
-def theta_char_g2(alpha, beta, Omega, b=None):
+def theta_char_g2(alpha, beta, Omega):
     """Genus-two theta constant with characteristics alpha, beta in R^2:
 
         sum_{n in Z^2} exp( i*pi*(n+alpha).Omega.(n+alpha)
@@ -538,7 +502,6 @@ def theta_char_g2(alpha, beta, Omega, b=None):
     |nu_i| <= sqrt((_LOG_EPS + log 2) * (Y^-1)_ii / pi), and one more term is
     kept on each side.
     """
-    b = _budget(b)
     Omega = np.asarray(Omega, dtype=complex)
     if Omega.shape != (2, 2):
         raise ValueError("Omega must be 2x2")
@@ -551,7 +514,7 @@ def theta_char_g2(alpha, beta, Omega, b=None):
     beta = np.asarray(beta, dtype=float)
 
     reach = np.sqrt((_LOG_EPS + log(2.0)) * np.diag(np.linalg.inv(im)) / np.pi) + 1.0
-    r1, r2 = (np.arange(-c, c + 1) for c in np.maximum(np.ceil(reach), b.lattice_cutoff))
+    r1, r2 = (np.arange(-c, c + 1) for c in np.ceil(reach))
     n1, n2 = np.meshgrid(r1 + alpha[0], r2 + alpha[1], indexing="ij")
     quad = Omega[0, 0] * n1**2 + 2.0 * Omega[0, 1] * n1 * n2 + Omega[1, 1] * n2**2
     lin = TWO_PI_I * (beta[0] * n1 + beta[1] * n2)

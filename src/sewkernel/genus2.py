@@ -58,11 +58,11 @@ def domain_check(tau, w, rho):
     return margin > 0.0, margin, complex(lam)
 
 
-def h_rows(points, N, sew, tw, quad_M=256, b=None, bar=False):
+def h_rows(points, N, sew, tw, quad_M=256, bar=False):
     """Rows h(x) (bar=False) or hbar(y) (bar=True) over the flattened (a, k)
     index: a vector for a scalar point, one row per point for an array."""
     parts = [
-        rho_half_powers(N, a, sew, tw) * half_diff(a, points, N, sew, tw, quad_M, b, bar)
+        rho_half_powers(N, a, sew, tw) * half_diff(a, points, N, sew, tw, quad_M, bar)
         for a in (1, 2)
     ]
     return np.concatenate(parts, axis=-1)
@@ -84,7 +84,7 @@ def _check_convergence(xs, ys, sew):
             )
 
 
-def s2_eval(x, y, sew, tw, N=16, quad_M=256, b=None):
+def s2_eval(x, y, sew, tw, N=16, quad_M=256):
     """Genus-two Szego kernel S2(x, y) on the sewn surface (coordinate form
     in the uniformising torus variable).  Returns a KernelEval.
 
@@ -98,17 +98,17 @@ def s2_eval(x, y, sew, tw, N=16, quad_M=256, b=None):
     xs = np.atleast_1d(np.asarray(x, dtype=complex))
     ys = np.atleast_1d(np.asarray(y, dtype=complex))
     _check_convergence(xs, ys, sew)
-    base = s_kappa(xs[:, None], ys[None, :], sew, tw, b)
-    h = h_rows(xs, N, sew, tw, quad_M, b) * theta2_weights(N, tw)
-    hb = h_rows(ys, N, sew, tw, quad_M, b, bar=True)
-    T = build_T(N, sew, tw, quad_M, b)
+    base = s_kappa(xs[:, None], ys[None, :], sew, tw)
+    h = h_rows(xs, N, sew, tw, quad_M) * theta2_weights(N, tw)
+    hb = h_rows(ys, N, sew, tw, quad_M, bar=True)
+    T = build_T(N, sew, tw, quad_M)
     val = base + tw.xi * h @ np.linalg.solve(np.eye(2 * N) - T, hb.T)
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         val = complex(val[0, 0])
     return KernelEval(val, N, quad_M)
 
 
-def sewing_multiplier_residual(x_loc, a, y, sew, tw, N=16, quad_M=256, b=None):
+def sewing_multiplier_residual(x_loc, a, y, sew, tw, N=16, quad_M=256):
     """Residual of the multiplier relation across the sewing handle.
 
     A point with local coordinate x_loc in annulus a is identified with the
@@ -138,12 +138,12 @@ def sewing_multiplier_residual(x_loc, a, y, sew, tw, N=16, quad_M=256, b=None):
     x = x_loc + puncture_center(a, sew)
     xbar = xbar_loc + puncture_center(abar, sew)
 
-    lhs, rhs = s2_eval(np.array([x, xbar]), y, sew, tw, N, quad_M, b).value[:, 0]
+    lhs, rhs = s2_eval(np.array([x, xbar]), y, sew, tw, N, quad_M).value[:, 0]
     jac = (-1.0) ** abar * tw.xi * sew.sqrt_rho / xbar_loc
     scale = max(abs(lhs * jac), abs(rhs), 1e-300)
 
-    n_x = principal_branch_winding(a, x_loc, sew, b)
-    n_xbar = principal_branch_winding(abar, xbar_loc, sew, b)
+    n_x = principal_branch_winding(a, x_loc, sew)
+    n_xbar = principal_branch_winding(abar, xbar_loc, sew)
     nu_c = (np.log(x_loc) + np.log(xbar_loc) - sew.log_rho) / (2j * np.pi)
     nu = int(np.rint(nu_c.real))
     if abs(nu_c - nu) > 1e-8:

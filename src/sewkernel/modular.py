@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import DEFAULT_BUDGET, dedekind_eta, prime_form_K, theta_char_g1
+from .elliptic import dedekind_eta, prime_form_K, theta_char_g1
 from .determinants import det_I_minus
 from .szego import SewingConfig, TwistConfig, build_T
 
@@ -115,8 +115,8 @@ class LiftedPoint:
         if self.log_rho is None:
             object.__setattr__(self, "log_rho", complex(np.log(complex(self.rho))))
 
-    def lhat(self, b=None):
-        base = np.log(-self.rho / prime_form_K(self.w, self.tau, b) ** 2)
+    def lhat(self):
+        base = np.log(-self.rho / prime_form_K(self.w, self.tau) ** 2)
         return complex(base + TWO_PI_I * self.m)
 
     def sewing(self, **kw):
@@ -131,7 +131,7 @@ class LiftedPoint:
         )
 
 
-def _path_log_K(w0, delta, tau, b, steps=400):
+def _path_log_K(w0, delta, tau, steps=400):
     """Increment of log K(w0 + s*delta, tau) continued along s in [0, 1].
 
     The path starts at `steps` steps and is refined fourfold until every
@@ -141,7 +141,7 @@ def _path_log_K(w0, delta, tau, b, steps=400):
     """
     while True:
         s = np.linspace(0.0, 1.0, steps + 1)
-        vals = prime_form_K(w0 + s * delta, tau, b)
+        vals = prime_form_K(w0 + s * delta, tau)
         ang = np.unwrap(np.angle(vals))
         if np.max(np.abs(np.diff(ang))) <= 0.5 * np.pi:
             break
@@ -163,7 +163,7 @@ def _round_winding(value, what):
     return n
 
 
-def _act_point_one(name, power, p, b):
+def _act_point_one(name, power, p):
     """Action of a single generator letter on a LiftedPoint.
 
     For the translation generators the carried branches of log(rho) and of the
@@ -180,18 +180,18 @@ def _act_point_one(name, power, p, b):
         if delta == 0:
             dlogK = 0.0 + 0.0j
         else:
-            dlogK = _path_log_K(w, delta, tau, b)
+            dlogK = _path_log_K(w, delta, tau)
         # log(rho) rides along the lift of lhat = log(-rho / K^2)
         nu = _round_winding((shift + 2.0 * dlogK) / TWO_PI_I, "log_rho")
         log_rho2 = p.log_rho + TWO_PI_I * nu
         # anchor logs: lambda_1 ~ log(-K(w)), lambda_2 ~ log(1/K(w))
-        anc1 = np.log(-prime_form_K(w, tau, b)) + TWO_PI_I * p.n1 + dlogK
-        anc2 = np.log(1.0 / prime_form_K(w, tau, b)) + TWO_PI_I * p.n2 - dlogK
+        anc1 = np.log(-prime_form_K(w, tau)) + TWO_PI_I * p.n1 + dlogK
+        anc2 = np.log(1.0 / prime_form_K(w, tau)) + TWO_PI_I * p.n2 - dlogK
         n1 = _round_winding(
-            (anc1 - np.log(-prime_form_K(w2, tau2, b))) / TWO_PI_I, "anchor-1"
+            (anc1 - np.log(-prime_form_K(w2, tau2))) / TWO_PI_I, "anchor-1"
         )
         n2 = _round_winding(
-            (anc2 - np.log(1.0 / prime_form_K(w2, tau2, b))) / TWO_PI_I, "anchor-2"
+            (anc2 - np.log(1.0 / prime_form_K(w2, tau2))) / TWO_PI_I, "anchor-2"
         )
     else:
         a1, b1, c1, d1 = _SL2_PARAMS[name]
@@ -207,25 +207,24 @@ def _act_point_one(name, power, p, b):
         # the prime form obeys K(w/den, tau2) = K(w, tau) * den^-1
         # * exp(-shift/2); transport the anchor logs multiplicatively on the
         # same branch of log(den) as log(rho)
-        anc1 = np.log(-prime_form_K(w, tau, b)) + TWO_PI_I * p.n1 - log_den - 0.5 * shift
-        anc2 = np.log(1.0 / prime_form_K(w, tau, b)) + TWO_PI_I * p.n2 + log_den + 0.5 * shift
+        anc1 = np.log(-prime_form_K(w, tau)) + TWO_PI_I * p.n1 - log_den - 0.5 * shift
+        anc2 = np.log(1.0 / prime_form_K(w, tau)) + TWO_PI_I * p.n2 + log_den + 0.5 * shift
         n1 = _round_winding(
-            (anc1 - np.log(-prime_form_K(w2, tau2, b))) / TWO_PI_I, "anchor-1"
+            (anc1 - np.log(-prime_form_K(w2, tau2))) / TWO_PI_I, "anchor-1"
         )
         n2 = _round_winding(
-            (anc2 - np.log(1.0 / prime_form_K(w2, tau2, b))) / TWO_PI_I, "anchor-2"
+            (anc2 - np.log(1.0 / prime_form_K(w2, tau2))) / TWO_PI_I, "anchor-2"
         )
-    target = p.lhat(b) + shift
-    base2 = np.log(-rho2 / prime_form_K(w2, tau2, b) ** 2)
+    target = p.lhat() + shift
+    base2 = np.log(-rho2 / prime_form_K(w2, tau2) ** 2)
     m2_int = _round_winding((target - base2) / TWO_PI_I, "lhat")
     return LiftedPoint(tau2, w2, rho2, m2_int, complex(log_rho2), n1, n2)
 
 
-def act_point(g, p, b=None):
+def act_point(g, p):
     """g.p for a GroupElement g acting on a LiftedPoint p."""
-    b = b or DEFAULT_BUDGET
     for name, power in reversed(g.word):
-        p = _act_point_one(name, power, p, b)
+        p = _act_point_one(name, power, p)
     return p
 
 
@@ -289,20 +288,19 @@ def chi_multiplier(g, tw):
     return complex(val * chi_multiplier(tail, tw))
 
 
-def zhat(p, tw, N=12, quad_M=256, b=None):
+def zhat(p, tw, N=12, quad_M=256):
     """Lifted genus-two fermionic partition function at a LiftedPoint."""
-    b = b or DEFAULT_BUDGET
     sew = p.sewing()
-    T = build_T(N, sew, tw, quad_M, b)
+    T = build_T(N, sew, tw, quad_M)
     det = det_I_minus(T).value
     val = np.exp(TWO_PI_I * tw.beta2 * tw.kappa)
-    val *= np.exp(0.5 * tw.kappa**2 * p.lhat(b))
-    val *= theta_char_g1(tw.alpha1, tw.beta1, tw.kappa * p.w, p.tau, b)
-    val /= dedekind_eta(p.tau, b)
+    val *= np.exp(0.5 * tw.kappa**2 * p.lhat())
+    val *= theta_char_g1(tw.alpha1, tw.beta1, tw.kappa * p.w, p.tau)
+    val /= dedekind_eta(p.tau)
     return complex(val * det), complex(det)
 
 
-def invariance_residual(g, p, tw, N=12, quad_M=256, b=None, chi_scale=1.0):
+def invariance_residual(g, p, tw, N=12, quad_M=256, chi_scale=1.0):
     """Residuals of the modular multiplier system for the group element g at
     the lifted point p with twist tw.
 
@@ -314,9 +312,9 @@ def invariance_residual(g, p, tw, N=12, quad_M=256, b=None, chi_scale=1.0):
     chi_scale multiplies the character (a deliberate perturbation knob for
     self-testing the sensitivity of the check).
     """
-    z0, d0 = zhat(p, tw, N, quad_M, b)
-    p2 = act_point(g, p, b)
+    z0, d0 = zhat(p, tw, N, quad_M)
+    p2 = act_point(g, p)
     tw2 = act_twist(g, tw)
-    z1, d1 = zhat(p2, tw2, N, quad_M, b)
+    z1, d1 = zhat(p2, tw2, N, quad_M)
     chi = chi_multiplier(g, tw) * chi_scale
     return abs(z1 / (chi * z0) - 1.0), abs(d1 / d0 - 1.0)

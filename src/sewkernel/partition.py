@@ -10,7 +10,6 @@ from math import floor
 import numpy as np
 
 from .elliptic import (
-    DEFAULT_BUDGET,
     dedekind_eta,
     prime_form_K,
     theta_char_g1,
@@ -61,7 +60,7 @@ class FockLabel:
         return self.weight() + kappa * (self.s - self.t) + 0.5 * kappa**2
 
 
-def z1_alpha_npoint(alpha, insertions, tau, b=None, strict=True):
+def z1_alpha_npoint(alpha, insertions, tau, strict=True):
     """Genus-one n-point generating function in the lattice sector alpha:
 
         q^(alpha^2/2)/eta * exp(alpha*sum_i beta_i z_i)
@@ -71,7 +70,6 @@ def z1_alpha_npoint(alpha, insertions, tau, b=None, strict=True):
     sum_i beta_i = 0 is enforced (strict=True raises, otherwise 0 is
     returned, matching the vanishing of the charged correlator).
     """
-    b = b or DEFAULT_BUDGET
     betas = [be for be, _ in insertions]
     zs = [z for _, z in insertions]
     if abs(sum(betas)) > 1e-12:
@@ -79,89 +77,86 @@ def z1_alpha_npoint(alpha, insertions, tau, b=None, strict=True):
             raise ValueError("charge imbalance: sum of insertion charges must vanish")
         return 0.0j
     q = np.exp(2j * np.pi * tau)
-    val = q ** (0.5 * alpha**2) / dedekind_eta(tau, b)
+    val = q ** (0.5 * alpha**2) / dedekind_eta(tau)
     val *= np.exp(alpha * sum(be * z for be, z in insertions))
     n = len(insertions)
     for r in range(n):
         for s in range(r + 1, n):
-            val *= prime_form_K(zs[r] - zs[s], tau, b) ** (betas[r] * betas[s])
+            val *= prime_form_K(zs[r] - zs[s], tau) ** (betas[r] * betas[s])
     return complex(val)
 
 
-def z1_twisted_2pt(sew, tw, b=None):
+def z1_twisted_2pt(sew, tw):
     """Twisted genus-one two-point normalisation
 
         (1/eta) * theta[a1; b1](kappa*w, tau) / K(w, tau)^(kappa^2)
 
     (principal branch of the K-power)."""
-    b = b or DEFAULT_BUDGET
     tau, w, kap = sew.tau, sew.w, tw.kappa
-    val = theta_char_g1(tw.alpha1, tw.beta1, kap * w, tau, b)
-    val /= dedekind_eta(tau, b) * prime_form_K(w, tau, b) ** (kap**2)
+    val = theta_char_g1(tw.alpha1, tw.beta1, kap * w, tau)
+    val /= dedekind_eta(tau) * prime_form_K(w, tau) ** (kap**2)
     return complex(val)
 
 
-def gen1_form(xs, ys, sew, tw, b=None):
+def gen1_form(xs, ys, sew, tw):
     """Genus-one n-pair generating form: z1_twisted_2pt times the determinant
     of the twisted Szego kernel matrix [S_kappa(x_i, y_j)]."""
     xs = np.array(list(xs), dtype=complex)
     ys = np.array(list(ys), dtype=complex)
     if len(xs) != len(ys):
         raise ValueError("need equal numbers of x and y insertions")
-    M = s_kappa(xs[:, None], ys[None, :], sew, tw, b)
-    return complex(z1_twisted_2pt(sew, tw, b) * np.linalg.det(M))
+    M = s_kappa(xs[:, None], ys[None, :], sew, tw)
+    return complex(z1_twisted_2pt(sew, tw) * np.linalg.det(M))
 
 
-def gen1_form_product(xs, ys, sew, tw, b=None):
+def gen1_form_product(xs, ys, sew, tw):
     """Closed product form of gen1_form (test oracle):
 
         (1/(eta*K(w)^(kappa^2))) * theta[a1; b1](sum(x - y) + kappa*w)
         * prod_{i<j} K(x_ij) K(y_ij) / prod_{i,j} K(x_i - y_j)
         * prod_i (K(x_i - w)/K(x_i))^kappa * prod_j (K(y_j)/K(y_j - w))^kappa.
     """
-    b = b or DEFAULT_BUDGET
     tau, w, kap = sew.tau, sew.w, tw.kappa
     xs = list(xs)
     ys = list(ys)
     n = len(xs)
-    val = theta_char_g1(tw.alpha1, tw.beta1, sum(xs) - sum(ys) + kap * w, tau, b)
-    val /= dedekind_eta(tau, b) * prime_form_K(w, tau, b) ** (kap**2)
+    val = theta_char_g1(tw.alpha1, tw.beta1, sum(xs) - sum(ys) + kap * w, tau)
+    val /= dedekind_eta(tau) * prime_form_K(w, tau) ** (kap**2)
     for i in range(n):
         for j in range(i + 1, n):
-            val *= prime_form_K(xs[i] - xs[j], tau, b)
-            val *= prime_form_K(ys[j] - ys[i], tau, b)
+            val *= prime_form_K(xs[i] - xs[j], tau)
+            val *= prime_form_K(ys[j] - ys[i], tau)
     for i in range(n):
         for j in range(n):
-            val /= prime_form_K(xs[i] - ys[j], tau, b)
+            val /= prime_form_K(xs[i] - ys[j], tau)
     for i in range(n):
-        val *= (prime_form_K(xs[i] - w, tau, b) / prime_form_K(xs[i], tau, b)) ** kap
-        val *= (prime_form_K(ys[i], tau, b) / prime_form_K(ys[i] - w, tau, b)) ** kap
+        val *= (prime_form_K(xs[i] - w, tau) / prime_form_K(xs[i], tau)) ** kap
+        val *= (prime_form_K(ys[i], tau) / prime_form_K(ys[i] - w, tau)) ** kap
     return complex(val)
 
 
-def frobenius_residual(xs, ys, alpha1, beta1, tau, b=None):
+def frobenius_residual(xs, ys, alpha1, beta1, tau):
     """Relative residual of the determinant identity
 
         theta[a1; b1](sum(x - y)) / theta[a1; b1](0)
         * prod_{i<j} K(x_ij) K(y_ij) / prod_{i,j} K(x_i - y_j)
         = det [ P_1[a1; b1](x_i - y_j) ].
     """
-    b = b or DEFAULT_BUDGET
     xs = list(xs)
     ys = list(ys)
     n = len(xs)
-    lhs = theta_char_g1(alpha1, beta1, sum(xs) - sum(ys), tau, b)
-    lhs /= theta_char_g1(alpha1, beta1, 0.0, tau, b)
+    lhs = theta_char_g1(alpha1, beta1, sum(xs) - sum(ys), tau)
+    lhs /= theta_char_g1(alpha1, beta1, 0.0, tau)
     for i in range(n):
         for j in range(i + 1, n):
-            lhs *= prime_form_K(xs[i] - xs[j], tau, b)
-            lhs *= prime_form_K(ys[j] - ys[i], tau, b)
+            lhs *= prime_form_K(xs[i] - xs[j], tau)
+            lhs *= prime_form_K(ys[j] - ys[i], tau)
     for i in range(n):
         for j in range(n):
-            lhs /= prime_form_K(xs[i] - ys[j], tau, b)
+            lhs /= prime_form_K(xs[i] - ys[j], tau)
     M = np.array(
         [
-            [twisted_P1_char(alpha1, beta1, xs[i] - ys[j], tau, b) for j in range(n)]
+            [twisted_P1_char(alpha1, beta1, xs[i] - ys[j], tau) for j in range(n)]
             for i in range(n)
         ]
     )
@@ -176,7 +171,7 @@ def _epsilon_sign(s1, t1, s2, t2, tw):
     )
 
 
-def fock_2pt(label_w, label_0, sew, tw, quad_M=256, b=None, strict=True):
+def fock_2pt(label_w, label_0, sew, tw, quad_M=256, strict=True):
     """Two-point function of kappa-shifted Fock states, the state label_w
     = Psi_kappa[k1, l2] inserted at w and label_0 = Psi_{-kappa}[k2, l1]
     at 0:
@@ -195,7 +190,7 @@ def fock_2pt(label_w, label_0, sew, tw, quad_M=256, b=None, strict=True):
         if strict:
             raise ValueError("charge imbalance between the two Fock labels")
         return 0.0j
-    z0 = z1_twisted_2pt(sew, tw, b)
+    z0 = z1_twisted_2pt(sew, tw)
     eps = _epsilon_sign(len(k1), len(l1), len(k2), len(l2), tw)
     if p == 0:
         return complex(eps * z0)
@@ -205,11 +200,11 @@ def fock_2pt(label_w, label_0, sew, tw, quad_M=256, b=None, strict=True):
     M = np.empty((p, p), dtype=complex)
     for i, (a, k) in enumerate(rows):
         for j, (bb, l) in enumerate(cols):
-            M[i, j] = moment_block(a, bb, Nmax, sew, tw, quad_M, b)[k - 1, l - 1]
+            M[i, j] = moment_block(a, bb, Nmax, sew, tw, quad_M)[k - 1, l - 1]
     return complex(eps * z0 * np.linalg.det(M))
 
 
-def fock_2pt_fourier(label_w, label_0, sew, tw, quad_M=64, b=None):
+def fock_2pt_fourier(label_w, label_0, sew, tw, quad_M=64):
     """Independent oracle for fock_2pt: multi-circle Fourier extraction of the
     corresponding coefficient of gen1_form.
 
@@ -219,13 +214,12 @@ def fock_2pt_fourier(label_w, label_0, sew, tw, quad_M=64, b=None):
     pairwise extractions, evaluated here by direct trapezoid sums on circles
     whose radii differ from (and are independent of) the moment contours.
     """
-    b = b or DEFAULT_BUDGET
     k1, l2 = tuple(label_w.k_list), tuple(label_w.l_list)
     k2, l1 = tuple(label_0.k_list), tuple(label_0.l_list)
     p = len(k1) + len(k2)
     if len(l1) + len(l2) != p:
         raise ValueError("charge imbalance between the two Fock labels")
-    z0 = z1_twisted_2pt(sew, tw, b)
+    z0 = z1_twisted_2pt(sew, tw)
     eps = _epsilon_sign(len(k1), len(l1), len(k2), len(l2), tw)
     if p == 0:
         return complex(eps * z0)
@@ -240,12 +234,12 @@ def fock_2pt_fourier(label_w, label_0, sew, tw, quad_M=64, b=None):
     xdata = []
     for i, (side, k) in enumerate(rows):
         r = base_r(side) * (0.98 - 0.06 * i)
-        t, loga = _log_A_circle(side, r, quad_M, sew, b)
+        t, loga = _log_A_circle(side, r, quad_M, sew)
         xdata.append((side, k, t, np.exp(kap * loga)))
     ydata = []
     for j, (side, l) in enumerate(cols):
         r = base_r(side) * (0.72 - 0.06 * j)  # strictly inside every x circle
-        t, loga = _log_A_circle(side, r, quad_M, sew, b)
+        t, loga = _log_A_circle(side, r, quad_M, sew)
         ydata.append((side, l, t, np.exp(-kap * loga)))
 
     P = np.empty((p, p), dtype=complex)
@@ -253,24 +247,24 @@ def fock_2pt_fourier(label_w, label_0, sew, tw, quad_M=64, b=None):
         x = tx + puncture_center(xs_side, sew)
         for j, (ys_side, l, ty, uy) in enumerate(ydata):
             y = ty + puncture_center(ys_side, sew)
-            core = theta_ratio_core(x[:, None], y[None, :], sew, tw, b)
+            core = theta_ratio_core(x[:, None], y[None, :], sew, tw)
             integ = (ux * tx ** (1.0 - k))[:, None] * (uy * ty ** (1.0 - l))[None, :]
             P[i, j] = np.sum(integ * core) / quad_M**2
     return complex(eps * z0 * np.linalg.det(P))
 
 
-def z2_fermionic(sew, tw, N=16, quad_M=256, b=None, method="trace_log"):
+def z2_fermionic(sew, tw, N=16, quad_M=256, method="trace_log"):
     """Genus-two fermionic partition function
 
         exp(2*pi*i*beta2*kappa) * (exp(i*pi*B)*rho)^(kappa^2/2)
         * z1_twisted_2pt * det(I - T),
 
     the rho-power taken on the branch fixed by SewingConfig.log_rho."""
-    T = build_T(N, sew, tw, quad_M, b)
+    T = build_T(N, sew, tw, quad_M)
     det = det_I_minus(T, method=method).value
     pref = np.exp(2j * np.pi * tw.beta2 * tw.kappa)
     pref *= np.exp(0.5 * tw.kappa**2 * (1j * np.pi * tw.B + sew.log_rho))
-    return complex(pref * z1_twisted_2pt(sew, tw, b) * det)
+    return complex(pref * z1_twisted_2pt(sew, tw) * det)
 
 
 def enumerate_fock_labels(W, kappa):
@@ -307,7 +301,7 @@ def enumerate_fock_labels(W, kappa):
     return labels
 
 
-def fock_sum_oracle(W, sew, tw, quad_M=256, b=None):
+def fock_sum_oracle(W, sew, tw, quad_M=256):
     """Grade-truncated Fock-space sum for the genus-two fermionic partition
     function: the trace over the genus-one twisted module written as a sum of
     two-point functions of dual state pairs,
@@ -327,7 +321,7 @@ def fock_sum_oracle(W, sew, tw, quad_M=256, b=None):
     if Nmax:
         for a in (1, 2):
             for bb in (1, 2):
-                moment_block(a, bb, Nmax, sew, tw, quad_M, b)
+                moment_block(a, bb, Nmax, sew, tw, quad_M)
     for lab in labels:
         wt = lab.weight()
         wtk = lab.weight_twisted(kap)
@@ -341,21 +335,20 @@ def fock_sum_oracle(W, sew, tw, quad_M=256, b=None):
             sew,
             tw,
             quad_M,
-            b,
         )
         total += sigma * pref0 * eps1 * sew.rho_pow(wtk) * two_pt
     return complex(total)
 
 
-def z2_heisenberg(sew, N=16, b=None):
+def z2_heisenberg(sew, N=16):
     """Genus-two free-boson (Heisenberg) partition function
     (1/eta) * det(I - R)^(-1/2), branch continued from rho = 0."""
     return complex(
-        det_inv_sqrt_I_minus_R(N, sew, b) / dedekind_eta(sew.tau, b)
+        det_inv_sqrt_I_minus_R(N, sew) / dedekind_eta(sew.tau)
     )
 
 
-def z2_mu_nu(mu, nu, Omega, sew, N=16, b=None):
+def z2_mu_nu(mu, nu, Omega, sew, N=16):
     """Charge-lattice sector (mu, nu) of the genus-two boson:
     exp(i*pi*(mu^2*O11 + 2*mu*nu*O12 + nu^2*O22)) * z2_heisenberg."""
     Omega = np.asarray(Omega, dtype=complex)
@@ -364,20 +357,18 @@ def z2_mu_nu(mu, nu, Omega, sew, N=16, b=None):
         * np.pi
         * (mu**2 * Omega[0, 0] + 2.0 * mu * nu * Omega[0, 1] + nu**2 * Omega[1, 1])
     )
-    return complex(phase * z2_heisenberg(sew, N, b))
+    return complex(phase * z2_heisenberg(sew, N))
 
 
-def z2_theta_form(Omega, sew, tw, N=16, b=None):
+def z2_theta_form(Omega, sew, tw, N=16):
     """Genus-two twisted boson partition function
     theta2[(a1, kappa); (b1, b2)](Omega) * z2_heisenberg, for an externally
     supplied period matrix Omega."""
-    th = theta_char_g2(
-        (tw.alpha1, tw.kappa), (tw.beta1, tw.beta2), Omega, b
-    )
-    return complex(th * z2_heisenberg(sew, N, b))
+    th = theta_char_g2((tw.alpha1, tw.kappa), (tw.beta1, tw.beta2), Omega)
+    return complex(th * z2_heisenberg(sew, N))
 
 
-def triple_product_residual(sew, tw, N=16, quad_M=256, b=None, Omega=None):
+def triple_product_residual(sew, tw, N=16, quad_M=256, Omega=None):
     """Residual of the fermion-boson determinant identity.
 
     With Omega=None this is |det(I - T) * det(I - R)^(1/2) - 1|, the
@@ -390,10 +381,9 @@ def triple_product_residual(sew, tw, N=16, quad_M=256, b=None, Omega=None):
 
     is tested as a relative residual.
     """
-    b = b or DEFAULT_BUDGET
-    T = build_T(N, sew, tw, quad_M, b)
+    T = build_T(N, sew, tw, quad_M)
     detT = det_I_minus(T).value
-    detR_half = 1.0 / det_inv_sqrt_I_minus_R(N, sew, b)
+    detR_half = 1.0 / det_inv_sqrt_I_minus_R(N, sew)
     if Omega is None:
         return abs(detT * detR_half - 1.0)
     kap = tw.kappa
@@ -401,19 +391,19 @@ def triple_product_residual(sew, tw, N=16, quad_M=256, b=None, Omega=None):
     pref *= np.exp(
         0.5
         * kap**2
-        * (1j * np.pi * tw.B + sew.log_rho - 2.0 * np.log(prime_form_K(sew.w, sew.tau, b)))
+        * (1j * np.pi * tw.B + sew.log_rho - 2.0 * np.log(prime_form_K(sew.w, sew.tau)))
     )
-    pref *= theta_char_g1(tw.alpha1, tw.beta1, kap * sew.w, sew.tau, b)
-    lhs = theta_char_g2((tw.alpha1, kap), (tw.beta1, tw.beta2), Omega, b)
+    pref *= theta_char_g1(tw.alpha1, tw.beta1, kap * sew.w, sew.tau)
+    lhs = theta_char_g2((tw.alpha1, kap), (tw.beta1, tw.beta2), Omega)
     return abs(lhs / (pref * detT * detR_half) - 1.0)
 
 
-def gen2_form(xs, ys, sew, tw, N=16, quad_M=256, b=None):
+def gen2_form(xs, ys, sew, tw, N=16, quad_M=256):
     """Genus-two n-pair generating form: z2_fermionic times the determinant
     of the genus-two Szego kernel matrix [S2(x_i, y_j)]."""
     xs = np.array(list(xs), dtype=complex)
     ys = np.array(list(ys), dtype=complex)
     if len(xs) != len(ys):
         raise ValueError("need equal numbers of x and y insertions")
-    M = s2_eval(xs, ys, sew, tw, N, quad_M, b).value
-    return complex(z2_fermionic(sew, tw, N, quad_M, b) * np.linalg.det(M))
+    M = s2_eval(xs, ys, sew, tw, N, quad_M).value
+    return complex(z2_fermionic(sew, tw, N, quad_M) * np.linalg.det(M))

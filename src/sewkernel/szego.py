@@ -34,8 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 from .elliptic import (
-    DEFAULT_BUDGET,
-    SeriesBudget,
     _check_off_lattice_grid,
     _is_grid,
     _theta_grid_factors,
@@ -72,10 +70,13 @@ class TwistConfig:
     B: int = 1
 
     def __post_init__(self):
+        for name in ("alpha1", "beta1", "beta2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not abs(self.kappa) < 0.5:
             raise ValueError(f"kappa must satisfy |kappa| < 1/2, got {self.kappa}")
-        if self.B % 2 == 0:
-            raise ValueError(f"B must be odd, got {self.B}")
+        if not float(self.B).is_integer() or self.B % 2 != 1:
+            raise ValueError(f"B must be an odd integer, got {self.B}")
 
     @property
     def theta1_mult(self):
@@ -124,6 +125,10 @@ class SewingConfig:
     branch_n2: int = 0
 
     def __post_init__(self):
+        for name in ("tau", "w", "rho", "r1", "r2", "log_rho"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if np.imag(self.tau) <= 0:
             raise ValueError("tau must lie in the upper half plane")
         if self.rho == 0:
@@ -158,6 +163,19 @@ class SewingConfig:
         return lattice_min_distance(self.tau)
 
 
+def _check_order(N):
+    """The truncation order N as an int; ValueError unless N is an integer
+    of at least 1."""
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"truncation order N must be an integer >= 1, got {N!r}")
+    return int(N)
+
+
+def _check_quadrature(N, quad_M):
+    if quad_M < N:
+        raise ValueError(f"quad_M = {quad_M} contour points cannot resolve N = {N} modes")
+
+
 def puncture_center(side, sew):
     """Location of puncture `side` (1 -> 0, 2 -> w) on the torus."""
     if side == 1:
@@ -177,7 +195,7 @@ def mode_offset(a, kappa):
     raise ValueError(f"puncture index must be 1 or 2, got {a}")
 
 
-def _A_values(side, t, sew, b):
+def _A_values(side, t, sew):
     """A_c(t) for the branch bookkeeping, vectorised over t; t = 0 is mapped
     to the limit theta1(-s)/theta1'(0) (side 1) or its inverse (side 2).
 
@@ -188,10 +206,10 @@ def _A_values(side, t, sew, b):
     t = np.asarray(t, dtype=complex)
     flat = t.reshape(-1)
     shift = sew.w if side == 1 else -sew.w
-    th = theta_char_g1_diff(0.5, 0.5, flat[:, None], np.array([[0.0, shift]]), sew.tau, b)
+    th = theta_char_g1_diff(0.5, 0.5, flat[:, None], np.array([[0.0, shift]]), sew.tau)
     num, den = flat * th[:, 1], th[:, 0]
     zero = flat == 0.0
-    num[zero], den[zero] = th[zero, 1], theta1_prime0(sew.tau, b)
+    num[zero], den[zero] = th[zero, 1], theta1_prime0(sew.tau)
     vals = num / den if side == 1 else den / num
     return vals.reshape(t.shape)
 
@@ -204,18 +222,18 @@ def _radial_phase(side, path, sew):
     return np.unwrap(np.angle(path), axis=0)[-1] + 2.0 * np.pi * winding
 
 
-def _log_A_radial(side, t, sew, b, steps=_RADIAL_STEPS):
+def _log_A_radial(side, t, sew, steps=_RADIAL_STEPS):
     """log A_c at scattered points, continued radially from the puncture
     centre (see _radial_phase).  Vectorised over t."""
     t = np.asarray(t, dtype=complex)
     s = np.linspace(0.0, 1.0, steps + 1)
     path = s[:, None] * t[None, ...].reshape(1, -1)
-    vals = _A_values(side, path, sew, b)
+    vals = _A_values(side, path, sew)
     out = np.log(np.abs(vals[-1])) + 1j * _radial_phase(side, vals, sew)
     return out.reshape(t.shape)
 
 
-def _log_A_circle(side, r, M, sew, b):
+def _log_A_circle(side, r, M, sew):
     """(points, log A_c) on the circle |t| = r, branch-continuous and
     anchored by radial continuation at angle zero.
 
@@ -228,7 +246,7 @@ def _log_A_circle(side, r, M, sew, b):
     theta = 2.0 * np.pi * np.arange(M) / M
     t = r * np.exp(1j * theta)
     radial = np.linspace(0.0, 1.0, _RADIAL_STEPS + 1) * t[0]
-    vals = _A_values(side, np.concatenate([t, radial]), sew, b)
+    vals = _A_values(side, np.concatenate([t, radial]), sew)
     circle, path = vals[:M], vals[M:]
     ang = np.unwrap(np.angle(np.append(circle, circle[0])))
     if abs(ang[-1] - ang[0]) > 1e-6:
@@ -240,7 +258,7 @@ def _log_A_circle(side, r, M, sew, b):
     return t, np.log(np.abs(circle)) + 1j * (ang[:-1] + (anchor - ang[0]))
 
 
-def theta_ratio_core(x, y, sew, tw, b=None, wx=None, wy=None):
+def theta_ratio_core(x, y, sew, tw, wx=None, wy=None):
     """Single-valued core theta[a1; b1](x-y+kappa*w) /
     (theta[a1; b1](kappa*w) * K(x-y)) times the optional weights wx, which
     broadcasts like x, and wy, which broadcasts like y; broadcasts over x, y,
@@ -256,17 +274,17 @@ def theta_ratio_core(x, y, sew, tw, b=None, wx=None, wy=None):
     which prime_form_K of some x_i - y_j raises.
     """
     tau, c = sew.tau, tw.kappa * sew.w
-    den0 = theta_char_g1(tw.alpha1, tw.beta1, c, tau, b)
+    den0 = theta_char_g1(tw.alpha1, tw.beta1, c, tau)
     wx = 1.0 if wx is None else np.asarray(wx)
     wy = 1.0 if wy is None else np.asarray(wy)
     if not _is_grid(x, y):
-        num = theta_char_g1(tw.alpha1, tw.beta1, np.asarray(x) + c - np.asarray(y), tau, b)
-        return wx * wy * (num / (den0 * prime_form_K(np.asarray(x) - np.asarray(y), tau, b)))
+        num = theta_char_g1(tw.alpha1, tw.beta1, np.asarray(x) + c - np.asarray(y), tau)
+        return wx * wy * (num / (den0 * prime_form_K(np.asarray(x) - np.asarray(y), tau)))
     _check_off_lattice_grid(x, y, tau, "prime_form_K")
-    left, right = _theta_grid_factors(tw.alpha1, tw.beta1, np.asarray(x) + c, y, tau, b)
-    left *= np.reshape(theta1_prime0(tau, b) / den0 * wx, (-1, 1))
+    left, right = _theta_grid_factors(tw.alpha1, tw.beta1, np.asarray(x) + c, y, tau)
+    left *= np.reshape(theta1_prime0(tau) / den0 * wx, (-1, 1))
     right *= np.reshape(wy, (1, -1))
-    return (left @ right) / theta_char_g1_diff(0.5, 0.5, x, y, tau, b)
+    return (left @ right) / theta_char_g1_diff(0.5, 0.5, x, y, tau)
 
 
 def _check_coincidence(x, y, sew):
@@ -274,7 +292,7 @@ def _check_coincidence(x, y, sew):
         raise ValueError("kernel evaluated at coincident points (simple pole)")
 
 
-def s_kappa(x, y, sew, tw, b=None):
+def s_kappa(x, y, sew, tw):
     """Twisted Szego kernel S_kappa(x, y) at generic points of the torus.
 
     The two puncture factors are taken as separate principal powers,
@@ -284,14 +302,12 @@ def s_kappa(x, y, sew, tw, b=None):
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     _check_coincidence(x, y, sew)
-    tau, w, kap = sew.tau, sew.w, tw.kappa
-    fx = (theta1(x - w, tau, b) / theta1(x, tau, b)) ** kap
-    gy = (theta1(y, tau, b) / theta1(y - w, tau, b)) ** kap
-    val = theta_ratio_core(x, y, sew, tw, b, fx, gy)
+    fx, gy = external_x_factor(x, sew, tw), external_y_factor(y, sew, tw)
+    val = theta_ratio_core(x, y, sew, tw, fx, gy)
     return complex(val) if np.ndim(val) == 0 else val
 
 
-def s_kappa_regular(x_loc, y_loc, x_side, y_side, sew, tw, b=None):
+def s_kappa_regular(x_loc, y_loc, x_side, y_side, sew, tw):
     """Regularised kernel S~ near the punctures, in local coordinates.
 
     x sits at puncture x_side with local coordinate x_loc (global point
@@ -310,13 +326,13 @@ def s_kappa_regular(x_loc, y_loc, x_side, y_side, sew, tw, b=None):
     y = y_loc + puncture_center(y_side, sew)
     _check_coincidence(x, y, sew)
     kap = tw.kappa
-    ux = np.exp(kap * _log_A_radial(x_side, x_loc, sew, b))
-    uy = np.exp(-kap * _log_A_radial(y_side, y_loc, sew, b))
-    val = theta_ratio_core(x, y, sew, tw, b, ux, uy)
+    ux = np.exp(kap * _log_A_radial(x_side, x_loc, sew))
+    uy = np.exp(-kap * _log_A_radial(y_side, y_loc, sew))
+    val = theta_ratio_core(x, y, sew, tw, ux, uy)
     return complex(val) if np.ndim(val) == 0 else val
 
 
-def principal_branch_winding(side, t, sew, b=None):
+def principal_branch_winding(side, t, sew):
     """Integer winding n of the principal puncture power against the
     branch-tracked reference at a local point t of annulus `side`:
 
@@ -330,8 +346,8 @@ def principal_branch_winding(side, t, sew, b=None):
     """
     t = complex(t)
     x = t + puncture_center(side, sew)
-    ratio = theta1(x - sew.w, sew.tau, b) / theta1(x, sew.tau, b)
-    la = _log_A_radial(side, np.array([t]), sew, b)[0]
+    ratio = theta1(x - sew.w, sew.tau) / theta1(x, sew.tau)
+    la = _log_A_radial(side, np.array([t]), sew)[0]
     ref = (np.log(t) + la) if side == 2 else (la - np.log(t))
     d = (np.log(ratio) - ref) / (2j * np.pi)
     n = int(np.rint(d.real))
@@ -340,34 +356,37 @@ def principal_branch_winding(side, t, sew, b=None):
     return n
 
 
-def external_x_factor(x, sew, tw, b=None):
+def external_x_factor(x, sew, tw):
     """Principal-branch puncture factor (theta1(x-w)/theta1(x))^kappa for an
     external x argument."""
-    return (theta1(x - sew.w, sew.tau, b) / theta1(x, sew.tau, b)) ** tw.kappa
+    return (theta1(x - sew.w, sew.tau) / theta1(x, sew.tau)) ** tw.kappa
 
 
-def external_y_factor(y, sew, tw, b=None):
+def external_y_factor(y, sew, tw):
     """Principal-branch puncture factor (theta1(y)/theta1(y-w))^kappa for an
     external y argument."""
-    return (theta1(y, sew.tau, b) / theta1(y - sew.w, sew.tau, b)) ** tw.kappa
+    return (theta1(y, sew.tau) / theta1(y - sew.w, sew.tau)) ** tw.kappa
 
 
 def _other(a):
     return 3 - a
 
 
-def _contour(side, r, M, sew, tw, b):
+def _contour(side, r, M, sew, tw):
     """Global points of the circle |t| = r around puncture `side` and the
     branch-tracked regularising factors exp(sign * kappa * log A_side) on
     it, as a dict over sign (+1 for an x-contour, -1 for a y-contour)."""
-    t, loga = _log_A_circle(side, r, M, sew, b)
+    t, loga = _log_A_circle(side, r, M, sew)
     return t + puncture_center(side, sew), {s: np.exp(s * tw.kappa * loga) for s in (1, -1)}
 
 
 class _Surface:
-    """Cached state of one rho-free geometry (see _surface): its contours by
-    (side, radius), and each moment block at the largest N built so far.
-    Its sew and tw carry an admissible rho and beta2 = 0, read by nothing.
+    """Cached state of one rho-free geometry, the key (tau, w, r1, r2,
+    branch_n1, branch_n2, alpha1, beta1, kappa, quad_M) of _surface: its
+    contours by (side, radius), and each moment block at the largest N built
+    so far.  Every series in them is summed over its tail-bound range, so no
+    accuracy setting enters the key.  Its sew and tw carry an admissible rho
+    and beta2 = 0, read by nothing.
 
     Row k and column l of a block do not depend on N, so a block is served
     at any smaller N as a slice, and rebuilt only for a larger N.  The full
@@ -377,16 +396,16 @@ class _Surface:
     same contour or block twice; each call returns what it built or found.
     """
 
-    def __init__(self, tau, w, r1, r2, n1, n2, alpha1, beta1, kappa, quad_M, budget):
+    def __init__(self, tau, w, r1, r2, n1, n2, alpha1, beta1, kappa, quad_M):
         self.sew = SewingConfig(tau, w, 0.25 * r1 * r2, r1, r2, branch_n1=n1, branch_n2=n2)
         self.tw = TwistConfig(alpha1, beta1, 0.0, kappa)
-        self.quad_M, self.budget = quad_M, budget
+        self.quad_M = quad_M
         self.contours = {}
         self.blocks = {}
 
     def contour(self, side, r, sign):
         if (side, r) not in self.contours:
-            self.contours[side, r] = _contour(side, r, self.quad_M, self.sew, self.tw, self.budget)
+            self.contours[side, r] = _contour(side, r, self.quad_M, self.sew, self.tw)
         pts, u = self.contours[side, r]
         return pts, u[sign]
 
@@ -406,7 +425,7 @@ class _Surface:
             ry = 0.8 * rx  # keep |y| < |x| so the Cauchy part stays harmless
         x, ux = self.contour(xside, rx, +1)
         y, uy = self.contour(yside, ry, -1)
-        s_reg = theta_ratio_core(x[:, None], y[None, :], sew, self.tw, self.budget, ux, uy)
+        s_reg = theta_ratio_core(x[:, None], y[None, :], sew, self.tw, ux, uy)
         # (1/2*pi*i)^2 oint oint x^-k y^-l S~ dx dy -> scaled 2-d DFT bins;
         # transforming along y, keeping N bins and then transforming along x
         # forms only the bins F[:N, :N] of fft2, bit for bit
@@ -423,14 +442,14 @@ def _moment_block_cached(key):
     return _Surface(*key)
 
 
-def _surface(sew, tw, quad_M, b):
+def _surface(sew, tw, quad_M):
     """The cached _Surface of the fields of (sew, tw) that contours and blocks
     read: rho, log_rho, beta2 and B enter T only outside the blocks."""
     return _moment_block_cached((sew.tau, sew.w, sew.r1, sew.r2, sew.branch_n1, sew.branch_n2,
-                                 tw.alpha1, tw.beta1, tw.kappa, int(quad_M), b or DEFAULT_BUDGET))
+                                 tw.alpha1, tw.beta1, tw.kappa, int(quad_M)))
 
 
-def moment_block(a, bidx, N, sew, tw, quad_M=256, b=None):
+def moment_block(a, bidx, N, sew, tw, quad_M=256):
     """N x N array of expansion moments C_ab(k, l), k, l = 1..N.
 
     The first index a refers to the x-contour taken around puncture abar
@@ -440,7 +459,8 @@ def moment_block(a, bidx, N, sew, tw, quad_M=256, b=None):
     """
     if a not in (1, 2) or bidx not in (1, 2):
         raise ValueError("block indices must be 1 or 2")
-    return _surface(sew, tw, quad_M, b).block(a, bidx, int(N))
+    _check_quadrature(N, quad_M)
+    return _surface(sew, tw, quad_M).block(a, bidx, int(N))
 
 
 def puncture_distance(z, side, sew):
@@ -451,7 +471,7 @@ def puncture_distance(z, side, sew):
     return np.abs(z - lam)
 
 
-def half_diff(a, points, N, sew, tw, quad_M=256, b=None, bar=False):
+def half_diff(a, points, N, sew, tw, quad_M=256, bar=False):
     """Contour extractions of the kernel around a puncture, k = 1..N.
 
     bar=False gives d_a(x, k), the extraction in the second kernel argument
@@ -478,6 +498,7 @@ def half_diff(a, points, N, sew, tw, quad_M=256, b=None, bar=False):
     `points` is a scalar (returns a length-N vector) or a 1-d array (returns
     an array of shape (len(points), N)).
     """
+    _check_quadrature(N, quad_M)
     side = _other(a) if bar else a
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     r_full = sew.r1 if side == 1 else sew.r2
@@ -485,24 +506,24 @@ def half_diff(a, points, N, sew, tw, quad_M=256, b=None, bar=False):
     if np.any(radii <= 0):
         raise ValueError("external point coincides with the puncture")
     if bar:
-        ext = external_y_factor(pts, sew, tw, b)
+        ext = external_y_factor(pts, sew, tw)
     else:
-        ext = external_x_factor(pts, sew, tw, b)
+        ext = external_x_factor(pts, sew, tw)
     k = np.arange(1, N + 1, dtype=float)
     out = np.empty((pts.size, N), dtype=complex)
     sign = +1 if bar else -1
-    surface = _surface(sew, tw, quad_M, b)
+    surface = _surface(sew, tw, quad_M)
     for r in np.unique(radii):
         sel = radii == r
         if r == r_full:
             c, u = surface.contour(side, r, sign)
         else:  # a clipped radius is built on the spot
-            c, u = _contour(side, r, quad_M, sew, tw, b)
+            c, u = _contour(side, r, quad_M, sew, tw)
             u = u[sign]
         if bar:
-            f = theta_ratio_core(c[:, None], pts[None, sel], sew, tw, b, u, ext[sel]).T
+            f = theta_ratio_core(c[:, None], pts[None, sel], sew, tw, u, ext[sel]).T
         else:
-            f = theta_ratio_core(pts[sel, None], c[None, :], sew, tw, b, ext[sel], u)
+            f = theta_ratio_core(pts[sel, None], c[None, :], sew, tw, ext[sel], u)
         # (1/2*pi*i) oint f t^-k dt = (1/M) sum_j f_j t_j^(1-k) -> DFT bin k-1
         F = np.fft.fft(f, axis=1) / quad_M
         out[sel] = r ** (1.0 - k) * F[:, :N]
@@ -524,19 +545,20 @@ def rho_half_powers(N, a, sew, tw):
     return sew.rho_pow(0.5 * (k - 0.5))
 
 
-def build_T(N, sew, tw, quad_M=256, b=None):
+def build_T(N, sew, tw, quad_M=256):
     """2N x 2N transfer matrix T = xi * G * D^(theta2) whose determinant
     det(I - T) is the genus-two fermionic correction factor.
 
     Flattening convention: index (a, k) -> (a - 1) * N + (k - 1), i.e. the
     puncture-1 modes come first.
     """
+    N = _check_order(N)
     k = np.arange(1, N + 1, dtype=float)
     blocks = [[None, None], [None, None]]
     for a in (1, 2):
         ka = k + mode_offset(a, tw.kappa)
         for bidx in (1, 2):
             lb = k + mode_offset(bidx, tw.kappa)
-            C = moment_block(a, bidx, N, sew, tw, quad_M, b)
+            C = moment_block(a, bidx, N, sew, tw, quad_M)
             blocks[a - 1][bidx - 1] = sew.rho_pow(0.5 * (ka[:, None] + lb[None, :] - 1.0)) * C
     return tw.xi * np.block(blocks) * theta2_weights(N, tw)[None, :]

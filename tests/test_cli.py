@@ -56,6 +56,15 @@ def test_eval_rejects_invalid_rho(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ["z2_fermionic", "z2_heisenberg"])
+def test_eval_rejects_zero_truncation(tmp_path, target):
+    # N = 0 used to exit 0 with only the prefactor (or 1/eta) as the value
+    cfg = {"target": target, "parameters": dict(BASE_PARAMS, N=0)}
+    code, text = _run(tmp_path, "eval", cfg)
+    assert code == 2
+    assert "integer >= 1" in text
+
+
 def test_eval_unknown_target(tmp_path):
     cfg = {"target": "no_such_thing", "parameters": BASE_PARAMS}
     code, _ = _run(tmp_path, "eval", cfg)

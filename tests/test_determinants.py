@@ -14,7 +14,13 @@ from sewkernel import (
     moment_C_boson,
     moment_D_boson,
 )
-from sewkernel.elliptic import eisenstein, prime_form_K, weierstrass_P
+from sewkernel.elliptic import (
+    eisenstein,
+    lattice_min_distance,
+    nearest_lattice_point,
+    prime_form_K,
+    weierstrass_P,
+)
 
 TAU = 0.3 + 1.1j
 W = 0.5 + 2.2j
@@ -149,22 +155,75 @@ def test_det_inv_sqrt_squares_to_inverse_det():
     assert abs(v**2 * d - 1.0) < 1e-9
 
 
-def test_det_inv_sqrt_path_refinement_stable():
-    sew = SewingConfig(TAU, W, 1e-3 * np.exp(2.9j))
-    a = det_inv_sqrt_I_minus_R(8, sew, n_path=4)
-    b = det_inv_sqrt_I_minus_R(8, sew, n_path=64)
-    assert abs(a - b) < 1e-12
+def _det_inv_sqrt_by_path(N, sew):
+    """Reference: det(I - R)^(-1/2) continued from rho = 0 along the ray
+    s*rho by dense determinants of I - R(s*rho), R(s*rho)_kl = s^((k+l)/2)
+    R_kl, on a path of 16 points doubled until every step of the argument
+    is below pi/2."""
+    R = build_R(N, sew)
+    k = np.tile(np.arange(1, N + 1, dtype=float), 2)
+    expo = 0.5 * (k[:, None] + k[None, :])
+    n = 16
+    while True:
+        s = np.linspace(0.0, 1.0, n + 1)[1:]
+        dets = [np.linalg.det(np.eye(2 * N) - sv**expo * R) for sv in s]
+        args = np.unwrap(np.concatenate([[0.0], np.angle(dets)]))
+        if np.max(np.abs(np.diff(args))) < 0.5 * np.pi:
+            break
+        assert n < 1024, "reference path not resolved"
+        n *= 2
+    return complex(np.exp(-0.5 * (np.log(abs(dets[-1])) + 1j * args[-1])))
+
+
+def _benchmark_like_surfaces():
+    # tau near the fundamental domain, w at 0.27 * D(q), |rho| ~ 1e-3.5
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        tau = complex(rng.uniform(-0.25, 0.25), rng.uniform(1.1, 1.3))
+        w = 0.27 * 2.0 * np.pi * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        rho = 10.0 ** rng.uniform(-3.6, -3.1) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        yield SewingConfig(tau, w, rho)
+
+
+def _edge_surfaces():
+    # |rho| at 0.999 of the sewing-domain edge dist(w, Lambda)^2/4, with the
+    # contour radii just above dist/2 so that |rho| < r1*r2
+    rng = np.random.default_rng(12)
+    for frac in (0.27, 0.4, 0.5):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.5))
+        w = frac * lattice_min_distance(tau) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        lam, _, _ = nearest_lattice_point(w, tau)
+        d = abs(w - lam)
+        rho = 0.999 * d**2 / 4.0 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        yield SewingConfig(tau, w, rho, r1=0.5001 * d, r2=0.5001 * d)
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_det_inv_sqrt_matches_path_continuation(N):
+    # [DERIVED] the trace-log value is the branch the dense-determinant path
+    # continues from rho = 0, on the benchmark's surfaces and at the edge of
+    # the sewing domain, where ||R||_2 reaches about 0.9
+    for sew in [*_benchmark_like_surfaces(), *_edge_surfaces()]:
+        ref = _det_inv_sqrt_by_path(N, sew)
+        assert abs(det_inv_sqrt_I_minus_R(N, sew) / ref - 1.0) <= 1e-14
 
 
 def test_det_inv_sqrt_raises_on_unresolved_path(monkeypatch):
-    # det(I - s*c) = 1 - s*c passes within 1e-7 of zero at s = 0.3 + 1e-7,
-    # so its argument turns by nearly pi inside one step of 1/1024
+    # R = diag(c, 0) with |c| = 3.3: det(I - s*R) = 1 - s*c passes within
+    # 1e-7 of zero at s = 0.3 + 1e-7, and ||R||_2 >= 1 leaves the branch
+    # uncertified
     from sewkernel import determinants
 
     c = np.exp(1e-7j) / (0.3 + 1e-7)
-    monkeypatch.setattr(determinants, "build_R", lambda N, sew, b=None: np.diag([c, 0.0]))
-    with pytest.raises(RuntimeError, match="not resolved"):
+    monkeypatch.setattr(determinants, "build_R", lambda N, sew: np.diag([c, 0.0]))
+    with pytest.raises(ValueError, match="not certified"):
         det_inv_sqrt_I_minus_R(1, SewingConfig(TAU, W, 1e-3))
+
+
+@pytest.mark.parametrize("N", [0, -1, 2.0, 16.5])
+def test_build_R_rejects_bad_truncation(N):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        build_R(N, SewingConfig(TAU, W, 1e-3))
 
 
 # ------------------------------------------------------------------- minors

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sewkernel import (
-    SeriesBudget,
     dedekind_eta,
     eisenstein,
     lattice_min_distance,
@@ -229,14 +228,3 @@ def test_theta_g2_validates_omega():
     with pytest.raises(ValueError):
         theta_char_g2((0, 0), (0, 0), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
-
-# -------------------------------------------------------------------- budget
-
-
-def test_budget_controls_are_used():
-    # [TRIVIAL] the budget only sets lower limits: the tail bound still picks
-    # enough terms when they are loose
-    loose = SeriesBudget(lattice_cutoff=4, qseries_cutoff=8, rel_tol=1e-12)
-    z = 0.3 + 0.5j
-    assert abs(theta1(z, TAU, loose) - theta1(z, TAU)) < 1e-10
-    assert abs(dedekind_eta(TAU, loose) - dedekind_eta(TAU)) < 1e-10

@@ -144,14 +144,14 @@ def test_T_matches_per_pair_moment_grids(tau, w, monkeypatch):
     N, M = 16, 256
     T = szego.build_T(N, sew, tw, M)
 
-    def per_pair_block(a, bidx, N, sew, tw, quad_M, b=None):
+    def per_pair_block(a, bidx, N, sew, tw, quad_M):
         # the grid pointwise, with the lattice check of every pair, and the
         # full two-dimensional DFT
         xside, yside = 3 - a, bidx
         rx = sew.r1 if xside == 1 else sew.r2
         ry = 0.8 * rx if xside == yside else (sew.r1 if yside == 1 else sew.r2)
-        tx, lx = szego._log_A_circle(xside, rx, quad_M, sew, b)
-        ty, ly = szego._log_A_circle(yside, ry, quad_M, sew, b)
+        tx, lx = szego._log_A_circle(xside, rx, quad_M, sew)
+        ty, ly = szego._log_A_circle(yside, ry, quad_M, sew)
         x = (tx + szego.puncture_center(xside, sew))[:, None]
         y = (ty + szego.puncture_center(yside, sew))[None, :]
         c = tw.kappa * sew.w

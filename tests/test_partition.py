@@ -217,6 +217,18 @@ def test_z2_heisenberg_small_rho_is_eta_inverse():
     assert abs(v * dedekind_eta(TAU) - 1.0) < 1e-6
 
 
+def test_partition_functions_reject_bad_truncation():
+    # before, N = 0 gave 1/eta and quad_M < N a numpy broadcast error
+    sew = SewingConfig(TAU, W, 1e-3)
+    tw = TwistConfig(0.15, 0.25, 0.1, 0.2)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        z2_heisenberg(sew, 0)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        z2_fermionic(sew, tw, 0, 64)
+    with pytest.raises(ValueError, match="cannot resolve"):
+        z2_fermionic(sew, tw, 16, 8)
+
+
 def test_z2_mu_nu_phase():
     sew = SewingConfig(TAU, W, 1e-4)
     Omega = np.array([[0.1 + 0.9j, 0.04 + 0.02j], [0.04 + 0.02j, 0.2 + 1.4j]])

@@ -1,6 +1,6 @@
 """The series engine against plain references: the product-grid theta
 against a per-point loop and a 30-digit mpmath sum (also on wide grids),
-the tail-bound ranges against the old floors of SeriesBudget, the scaled
+the tail-bound ranges against ranges widened to twice the bound, the scaled
 Eisenstein table and P_2 against mpmath, and the lattice helpers against
 brute force.
 
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from sewkernel import (
-    SeriesBudget,
     SewingConfig,
     TwistConfig,
     build_T,
@@ -28,6 +27,7 @@ from sewkernel import (
     weierstrass_P,
     z2_heisenberg,
 )
+from sewkernel import elliptic, szego
 from sewkernel.elliptic import dedekind_eta, eisenstein_hat, theta_char_g1_diff
 
 EPS = np.finfo(float).eps
@@ -129,24 +129,43 @@ def test_wide_theta_grid_matches_mpmath(x, y, step):
             assert abs(grid[i, j] - ref) <= 1e-13 * size
 
 
-def test_old_floors_change_nothing():
-    # the floors that the defaults were before: 33 theta terms, q-series to
-    # order 64; the tail bound alone loses nothing against them
-    old = SeriesBudget(lattice_cutoff=16, qseries_cutoff=64)
+def _series_values():
+    """The theta grid, eta, Ehat_k for k in {8, 40, 432} and T on one
+    surface, with the moment blocks built afresh."""
     tau, w = 0.13 + 1.2j, 0.27 * 2.0 * np.pi * np.exp(0.6j)
     ang = 2.0 * np.pi * np.arange(256) / 256
     x = (w + 0.4 * np.exp(1j * ang))[:, None]
     y = (0.3 * np.exp(1j * ang))[None, :]
     sew = SewingConfig(tau, w, 3e-4 * np.exp(0.3j))
     tw = TwistConfig(alpha1=0.15, beta1=0.25, beta2=0.1, kappa=0.2)
-    pairs = [
-        (theta_char_g1_diff(0.15, 0.25, x, y, tau, old), theta_char_g1_diff(0.15, 0.25, x, y, tau)),
-        (dedekind_eta(tau, old), dedekind_eta(tau)),
-        (build_T(16, sew, tw, 256, old), build_T(16, sew, tw, 256)),
-    ]
-    pairs += [(eisenstein_hat(k, tau, old), eisenstein_hat(k, tau)) for k in (8, 40, 432)]
-    for a, b in pairs:
-        assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
+    szego._moment_block_cached.cache_clear()
+    try:
+        return [
+            theta_char_g1_diff(0.15, 0.25, x, y, tau),
+            dedekind_eta(tau),
+            *(eisenstein_hat(k, tau) for k in (8, 40, 432)),
+            build_T(16, sew, tw, 256),
+        ]
+    finally:
+        szego._moment_block_cached.cache_clear()
+
+
+def _largest_move(monkeypatch, factor):
+    """Largest change of a _series_values entry, relative to the largest
+    entry of its value, when every tail bound puts the dropped terms below
+    eps**factor of the largest term kept in place of eps."""
+    base = _series_values()
+    with monkeypatch.context() as m:
+        m.setattr(elliptic, "_LOG_EPS", factor * elliptic._LOG_EPS)
+        moved = _series_values()
+    return max(np.abs(a - b).max() / np.abs(a).max() for a, b in zip(base, moved))
+
+
+def test_tail_bound_loses_nothing(monkeypatch):
+    # ranges of twice the reach in log size move nothing beyond round-off
+    assert _largest_move(monkeypatch, 2.0) <= 1e-15
+    # and the check is sharp: ranges cut to half the reach move Ehat_40 by 1.6e-12
+    assert _largest_move(monkeypatch, 0.5) > 1e-13
 
 
 def test_theta_grid_is_selected_by_shape_only():

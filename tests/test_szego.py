@@ -42,6 +42,14 @@ def test_twist_config_validation():
         TwistConfig(0.0, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         TwistConfig(0.0, 0.0, 0.0, 0.1, B=2)
+    # B = 1.5 passes B % 2 != 0 but xi = e^(3*pi*i/4) is no square-root sheet
+    for B in (1.5, float("nan")):
+        with pytest.raises(ValueError, match="odd integer"):
+            TwistConfig(0.0, 0.0, 0.0, 0.1, B=B)
+    for field in ("alpha1", "beta1", "beta2"):
+        with pytest.raises(ValueError, match="finite"):
+            TwistConfig(**{"alpha1": 0.0, "beta1": 0.0, "beta2": 0.0, "kappa": 0.1, field: np.nan})
+    assert TwistConfig(0.0, 0.0, 0.0, 0.1, B=-3).xi == pytest.approx(1j)
 
 
 def test_sewing_config_validation():
@@ -54,6 +62,42 @@ def test_sewing_config_validation():
     sew = SewingConfig(TAU, W, 1e-3)
     assert abs(sew.sqrt_rho**2 - sew.rho) < 1e-15
     assert abs(sew.rho_pow(1.0) - sew.rho) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau", complex(np.nan, 1.1)),
+        ("w", np.nan),
+        ("rho", np.nan),
+        ("rho", complex(np.inf, 0.0)),
+        ("r1", np.nan),
+        ("r2", np.inf),
+        ("log_rho", complex(-6.9, np.nan)),
+    ],
+)
+def test_sewing_config_rejects_non_finite_inputs(field, value):
+    # before, w = nan gave r1 = r2 = nan, and rho = nan passed |rho| < r1*r2
+    args = {"tau": TAU, "w": W, "rho": 1e-3, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SewingConfig(**args)
+
+
+@pytest.mark.parametrize("N", [0, -2, 8.0, 8.5])
+def test_build_T_rejects_bad_truncation(sew, tw, N):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        build_T(N, sew, tw, quad_M=64)
+
+
+def test_quadrature_must_resolve_the_modes(sew, tw):
+    # 8 contour points cannot give 16 DFT bins; before, a broadcast error
+    with pytest.raises(ValueError, match="cannot resolve"):
+        moment_block(1, 2, 16, sew, tw, quad_M=8)
+    with pytest.raises(ValueError, match="cannot resolve"):
+        half_diff(1, 1.1 + 0.9j, 16, sew, tw, quad_M=8)
+    with pytest.raises(ValueError, match="cannot resolve"):
+        build_T(16, sew, tw, quad_M=8)
+    assert moment_block(1, 2, 8, sew, tw, quad_M=8).shape == (8, 8)
 
 
 def test_mode_offset_signs():
@@ -102,20 +146,20 @@ def test_log_A_radial_matches_principal_near_center(sew):
 
     for side in (1, 2):
         t = np.array([0.01 + 0.005j])
-        la = _log_A_radial(side, t, sew, None)[0]
-        assert abs(la - np.log(_A_values(side, t, sew, None)[0])) < 1e-9
+        la = _log_A_radial(side, t, sew)[0]
+        assert abs(la - np.log(_A_values(side, t, sew)[0])) < 1e-9
 
 
 def test_log_A_circle_continuous_and_anchored(sew):
     for side in (1, 2):
         r = 0.5 * (sew.r1 if side == 1 else sew.r2)
-        t, la = _log_A_circle(side, r, 128, sew, None)
+        t, la = _log_A_circle(side, r, 128, sew)
         # exp recovers A exactly and the imaginary part is continuous
         from sewkernel.szego import _A_values
 
-        assert np.max(np.abs(np.exp(la) - _A_values(side, t, sew, None))) < 1e-10
+        assert np.max(np.abs(np.exp(la) - _A_values(side, t, sew))) < 1e-10
         assert np.max(np.abs(np.diff(la.imag))) < 0.5
-        anchor = _log_A_radial(side, t[:1], sew, None)[0]
+        anchor = _log_A_radial(side, t[:1], sew)[0]
         assert abs(la[0] - anchor) < 1e-12
 
 
@@ -124,7 +168,7 @@ def test_branch_winding_offsets_shift_log():
     sew1 = SewingConfig(TAU, W, 1e-3, branch_n1=1, branch_n2=-2)
     t = np.array([0.05 + 0.02j])
     for side, n in ((1, 1), (2, -2)):
-        d = _log_A_radial(side, t, sew1, None)[0] - _log_A_radial(side, t, sew0, None)[0]
+        d = _log_A_radial(side, t, sew1)[0] - _log_A_radial(side, t, sew0)[0]
         assert abs(d - TWO_PI_I * n) < 1e-12
 
 
@@ -248,7 +292,7 @@ def test_half_diff_reconstructs_kernel(sew, tw):
         k = np.arange(1, N + 1)
         series = (d * y_loc ** (k - 1)).sum()
         # undo the regularising y-factor to compare with the pointwise kernel
-        uy = np.exp(-tw.kappa * lar(a, np.array([y_loc]), sew, None)[0])
+        uy = np.exp(-tw.kappa * lar(a, np.array([y_loc]), sew)[0])
         target = s_kappa(x, y_loc + center, sew, tw)
         from sewkernel.szego import external_y_factor
 
@@ -272,7 +316,7 @@ def test_half_diff_bar_consistent_with_moments(sew, tw):
     db = half_diff(a, y_loc + center, N, sew, tw, quad_M=256, bar=True)
     k = np.arange(1, N + 1)
     series = C @ (y_loc ** (k - 1))
-    uy = np.exp(-tw.kappa * lar(bidx, np.array([y_loc]), sew, None)[0])
+    uy = np.exp(-tw.kappa * lar(bidx, np.array([y_loc]), sew)[0])
     from sewkernel.szego import external_y_factor
 
     scale = uy / external_y_factor(y_loc + center, sew, tw)
