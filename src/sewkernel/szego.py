@@ -15,6 +15,12 @@ punctures it behaves like x^(-kappa), (x-w)^(+kappa), y^(+kappa) and
 coefficients of the regularised kernel obtained by stripping these fractional
 powers.
 
+The moments are Taylor coefficients of three one-variable functions, the
+two puncture factors and the core of theta_ratio_core, whose Laurent
+coefficients are the twisted Eisenstein data of Tuite & Zuevsky (Comm.
+Math. Phys. 306, 2011); see _Surface.  Contour extractions around the
+punctures, on the circles of radii r1, r2, remain only in half_diff.
+
 Branch convention.  Every fractional power attached to a puncture is realised
 as exp(+/- kappa * log A_c(t)) where A_1(t) = t*theta1(t-w)/theta1(t),
 A_2(t) = theta1(t)/(t*theta1(t+w)) are analytic and non-vanishing on a disk
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -104,7 +111,9 @@ class SewingConfig:
     """Sewing data (tau, w, rho) plus contour radii and the fixed branch of
     log(rho) used for all fractional rho-powers.
 
-    r1, r2 default to 0.45 * min(dist(w, Lambda), D(q)) which keeps both
+    r1, r2 are the radii of the extraction contours of half_diff around the
+    two punctures (the moment blocks do not read them) and must be positive.
+    They default to 0.45 * min(dist(w, Lambda), D(q)), which keeps both
     contours inside the sewing annuli for every point of the sewing domain.
     sqrt_rho / log_rho may be overridden to select a continued branch (used by
     the modular transformation tests); by default the principal branch is
@@ -145,6 +154,8 @@ class SewingConfig:
             object.__setattr__(self, "r2", r_default)
         if self.log_rho is None:
             object.__setattr__(self, "log_rho", complex(np.log(complex(self.rho))))
+        if not (self.r1 > 0 and self.r2 > 0):
+            raise ValueError(f"contour radii must be positive, got r1 = {self.r1:g}, r2 = {self.r2:g}")
         if abs(self.rho) >= self.r1 * self.r2:
             raise ValueError(
                 f"|rho| = {abs(self.rho):g} must be below r1*r2 = {self.r1 * self.r2:g}"
@@ -380,60 +391,119 @@ def _contour(side, r, M, sew, tw):
     return t + puncture_center(side, sew), {s: np.exp(s * tw.kappa * loga) for s in (1, -1)}
 
 
+# Floors of the point counts M of the Taylor circles (see _taylor_circle).
+# T weights order n by sqrt|rho|^n < (0.45*R)^n at the default radii, and
+# order n read at radius r carries round-off eps/r^n: the puncture factors
+# are read at R/2, and the core, whose orders the binomials of
+# h(c0 + x - y) weight by up to 2^n, at 0.917*R.
+_TAYLOR_M_LOG_A = 64
+_TAYLOR_M_CORE = 512
+
+
+def _taylor_circle(n, floor, R):
+    """(M, radius) of a circle that gives n Taylor coefficients of a
+    function analytic on |s| < R: M is a power of two, at least n and the
+    floor, and the radius 2^(-64/M)*R aliases onto each DFT bin only the
+    coefficients M orders higher, 2^-64 smaller relative."""
+    M = max(floor, 1 << (n - 1).bit_length())
+    return M, 2.0 ** (-64.0 / M) * R
+
+
+def _taylor(values, r):
+    """Taylor coefficients a_n, n = 0..M-1, of the columns of values, taken
+    at s_j = r*exp(2*pi*i*j/M): a_n r^n is DFT bin n divided by M."""
+    M = values.shape[0]
+    return np.fft.fft(values, axis=0) / M * r ** -np.arange(float(M))[:, None]
+
+
 class _Surface:
     """Cached state of one rho-free geometry, the key (tau, w, r1, r2,
-    branch_n1, branch_n2, alpha1, beta1, kappa, quad_M) of _surface: its
-    contours by (side, radius), and each moment block at the largest N built
-    so far.  Every series in them is summed over its tail-bound range, so no
-    accuracy setting enters the key.  Its sew and tw carry an admissible rho
-    and beta2 = 0, read by nothing.
+    branch_n1, branch_n2, alpha1, beta1, kappa) of _surface: the four
+    moment blocks at the largest N asked for so far, and the extraction
+    contours of half_diff by (side, radius, quad_M).  Every series in them
+    is summed over its tail-bound range, so no accuracy setting enters the
+    key.  Its sew and tw carry an admissible rho and beta2 = 0, read by
+    nothing.
 
-    Row k and column l of a block do not depend on N, so a block is served
-    at any smaller N as a slice, and rebuilt only for a larger N.  The full
-    contour radii r1, r2 and the inner radii 0.8 * r1, 0.8 * r2 of the
-    same-side blocks give four contours, which the four blocks and
-    half_diff share.  Threads that share a surface can at worst build the
-    same contour or block twice; each call returns what it built or found.
+    The regularised kernel of a block is u(x) * v(y) * h(c0 + x - y), with
+    u = exp(+kappa*log A) at the x-puncture, v = exp(-kappa*log A) at the
+    y-puncture, h the core of theta_ratio_core and c0 in {0, w, -w} the
+    offset between the puncture centres.  Their Taylor sequences are read
+    on circles that the geometry alone fixes (see _taylor_circle), within
+    the radius of convergence R = min(D(q), dist(w, Lambda)) of all three:
+    u and v from one _log_A_circle per side, h at the three offsets from
+    one grid of the core.  So the blocks depend neither on r1, r2 nor on
+    quad_M.
+
+    Row k and column l of a block do not depend on N (bit for bit while the
+    Taylor circles keep their point counts, N <= 32), so a block is served
+    at any smaller N as a slice, and the four are rebuilt only for a larger
+    N.  Threads that share a surface can at worst build the same data
+    twice; each call returns what it built or found.
     """
 
-    def __init__(self, tau, w, r1, r2, n1, n2, alpha1, beta1, kappa, quad_M):
+    def __init__(self, tau, w, r1, r2, n1, n2, alpha1, beta1, kappa):
         self.sew = SewingConfig(tau, w, 0.25 * r1 * r2, r1, r2, branch_n1=n1, branch_n2=n2)
         self.tw = TwistConfig(alpha1, beta1, 0.0, kappa)
-        self.quad_M = quad_M
+        lam, _, _ = nearest_lattice_point(w, tau)
+        self.R = min(lattice_min_distance(tau), abs(complex(w) - complex(lam)))
         self.contours = {}
-        self.blocks = {}
+        self.blocks = (0, None)  # (N, {(a, b): block}), swapped in whole
 
-    def contour(self, side, r, sign):
-        if (side, r) not in self.contours:
-            self.contours[side, r] = _contour(side, r, self.quad_M, self.sew, self.tw)
-        pts, u = self.contours[side, r]
+    def contour(self, side, r, sign, quad_M):
+        if (side, r, quad_M) not in self.contours:
+            self.contours[side, r, quad_M] = _contour(side, r, quad_M, self.sew, self.tw)
+        pts, u = self.contours[side, r, quad_M]
         return pts, u[sign]
 
     def block(self, a, bidx, N):
-        blk = self.blocks.get((a, bidx))
-        if blk is None or blk.shape[0] < N:
-            blk = self.blocks[a, bidx] = self._build_block(a, bidx, N)
-        return blk[:N, :N]
+        n_built, blocks = self.blocks
+        if n_built < N:
+            blocks = self._build_blocks(N)
+            self.blocks = (N, blocks)
+        return blocks[a, bidx][:N, :N]
 
-    def _build_block(self, a, bidx, N):
-        sew, M = self.sew, self.quad_M
-        xside = _other(a)  # x-contour lives at puncture abar
-        yside = bidx
-        rx = sew.r1 if xside == 1 else sew.r2
-        ry = sew.r1 if yside == 1 else sew.r2
-        if xside == yside:
-            ry = 0.8 * rx  # keep |y| < |x| so the Cauchy part stays harmless
-        x, ux = self.contour(xside, rx, +1)
-        y, uy = self.contour(yside, ry, -1)
-        s_reg = theta_ratio_core(x[:, None], y[None, :], sew, self.tw, ux, uy)
-        # (1/2*pi*i)^2 oint oint x^-k y^-l S~ dx dy -> scaled 2-d DFT bins;
-        # transforming along y, keeping N bins and then transforming along x
-        # forms only the bins F[:N, :N] of fft2, bit for bit
-        F = np.fft.fft(np.fft.fft(s_reg, axis=1)[:, :N], axis=0)[:N] / M**2
-        k = np.arange(1, N + 1)
-        block = rx ** (1.0 - k)[:, None] * ry ** (1.0 - k)[None, :] * F
-        block.setflags(write=False)
-        return block
+    def _taylor_data(self, N):
+        """Taylor sequences to order 2N: u[side] and v[side] of
+        exp(+-kappa*log A_side), and h[c] of the core at the offset
+        c0 = c*w, c in (0, 1, -1).  At c0 = 0, h is the core less its pole
+        1/s, which the DFT puts in bin M - 1, beyond the orders read."""
+        sew, kap = self.sew, self.tw.kappa
+        M, r = _taylor_circle(2 * N, _TAYLOR_M_LOG_A, self.R)
+        u, v = {}, {}
+        for side in (1, 2):
+            _, loga = _log_A_circle(side, r, M, sew)
+            u[side], v[side] = _taylor(np.exp(np.outer(loga, (kap, -kap))), r).T
+        M, r = _taylor_circle(2 * N, _TAYLOR_M_CORE, self.R)
+        s = r * np.exp(2j * np.pi * np.arange(M) / M)
+        c0 = np.array([0.0, sew.w, -sew.w])
+        core = theta_ratio_core(s[:, None], -c0[None, :], sew, self.tw)
+        return u, v, dict(zip((0, 1, -1), _taylor(core, r).T))
+
+    def _build_blocks(self, N):
+        """The four blocks C = (L(u) G + H) L(v)^T, the coefficients of
+        x^(k-1) y^(l-1) of u(x) v(y) (h(c0 + x - y) + [c0 = 0]/(x - y)),
+        |y| < |x|.
+
+        L(s)[i, j] = s_(i-j) is the lower-triangular Toeplitz matrix of a
+        sequence; G[p, q] = h_(p+q) binom(p+q, p) (-1)^q expands h(c0 + x - y)
+        in x^p y^q; on the same side the Cauchy part sum_j y^j / x^(j+1)
+        adds the Hankel matrix H[i, j] = u_(i+j+1).
+        """
+        u, v, h = self._taylor_data(N)
+        n = np.arange(N)
+        d, hankel = n[:, None] - n[None, :], n[:, None] + n[None, :]
+        binom = np.array([[comb(p + q, p) * (-1) ** q for q in range(N)] for p in range(N)], float)
+        blocks = {}
+        for a, bidx in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            xside, yside = _other(a), bidx  # x expands around puncture abar, y around b
+            ux, vy = u[xside], v[yside]
+            X = np.where(d >= 0, ux[d], 0.0) @ (h[xside - yside][hankel] * binom)
+            if xside == yside:
+                X += ux[hankel + 1]
+            blocks[a, bidx] = X @ np.where(d >= 0, vy[d], 0.0).T
+            blocks[a, bidx].setflags(write=False)
+        return blocks
 
 
 @lru_cache(maxsize=256)
@@ -442,11 +512,11 @@ def _moment_block_cached(key):
     return _Surface(*key)
 
 
-def _surface(sew, tw, quad_M):
+def _surface(sew, tw):
     """The cached _Surface of the fields of (sew, tw) that contours and blocks
     read: rho, log_rho, beta2 and B enter T only outside the blocks."""
     return _moment_block_cached((sew.tau, sew.w, sew.r1, sew.r2, sew.branch_n1, sew.branch_n2,
-                                 tw.alpha1, tw.beta1, tw.kappa, int(quad_M)))
+                                 tw.alpha1, tw.beta1, tw.kappa))
 
 
 def moment_block(a, bidx, N, sew, tw, quad_M=256):
@@ -454,13 +524,17 @@ def moment_block(a, bidx, N, sew, tw, quad_M=256):
 
     The first index a refers to the x-contour taken around puncture abar
     (a = 1 -> x near w), the second to the y-contour around puncture b.
-    The block does not depend on rho, log_rho, beta2 or B; it is cached per
-    rho-free geometry (see _surface) at the largest N built so far.
+    C_ab(k, l) is the Taylor coefficient of x^(k-1) y^(l-1) of the
+    regularised kernel, read from three 1-d Taylor sequences (see
+    _Surface).  The block does not depend on rho, log_rho, beta2, B, the
+    contour radii or quad_M, which is checked against N only, as by every
+    contour extraction; it is cached per rho-free geometry (see _surface)
+    at the largest N built so far.
     """
     if a not in (1, 2) or bidx not in (1, 2):
         raise ValueError("block indices must be 1 or 2")
     _check_quadrature(N, quad_M)
-    return _surface(sew, tw, quad_M).block(a, bidx, int(N))
+    return _surface(sew, tw).block(a, bidx, int(N))
 
 
 def puncture_distance(z, side, sew):
@@ -512,11 +586,11 @@ def half_diff(a, points, N, sew, tw, quad_M=256, bar=False):
     k = np.arange(1, N + 1, dtype=float)
     out = np.empty((pts.size, N), dtype=complex)
     sign = +1 if bar else -1
-    surface = _surface(sew, tw, quad_M)
+    surface = _surface(sew, tw)
     for r in np.unique(radii):
         sel = radii == r
         if r == r_full:
-            c, u = surface.contour(side, r, sign)
+            c, u = surface.contour(side, r, sign, quad_M)
         else:  # a clipped radius is built on the spot
             c, u = _contour(side, r, quad_M, sew, tw)
             u = u[sign]

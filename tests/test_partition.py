@@ -192,7 +192,7 @@ def test_z2_fermionic_matches_fock_sum(sew, tw):
 
 def test_fock_sum_builds_the_moment_grids_once(sew, tw, monkeypatch):
     # fock_2pt asks for blocks at every distinct mode bound; the surface
-    # builds each of its four grids once, at the largest
+    # builds its one core grid once, at the largest
     from sewkernel import szego
 
     szego._moment_block_cached.cache_clear()
@@ -201,7 +201,7 @@ def test_fock_sum_builds_the_moment_grids_once(sew, tw, monkeypatch):
     monkeypatch.setattr(szego, "theta_ratio_core", lambda *a: grids.append(1) or core(*a))
     misses = szego._moment_block_cached.cache_info().misses
     fock_sum_oracle(3, sew, tw, quad_M=128)
-    assert len(grids) == 4
+    assert len(grids) == 1
     assert szego._moment_block_cached.cache_info().misses == misses + 1
 
 

@@ -129,6 +129,63 @@ def test_wide_theta_grid_matches_mpmath(x, y, step):
             assert abs(grid[i, j] - ref) <= 1e-13 * size
 
 
+def _theta_taylor_mp(alpha, beta, z0, tau, n):
+    """Taylor coefficients of theta[alpha; beta](z0 + s) in s, orders
+    0..n-1, from the sum of _theta_mp: order m takes each term times
+    nu^m/m!."""
+    alpha, beta, z0, tau = mp.mpf(alpha), _mpc(beta), _mpc(z0), _mpc(tau)
+    zz = z0 + 2j * mp.pi * beta
+    centre = int(mp.nint(mp.re(zz) / (2 * mp.pi * mp.im(tau)) - alpha))
+    nu = [k + alpha for k in range(centre - 90, centre + 91)]
+    terms = [mp.exp(1j * mp.pi * v**2 * tau + v * zz) for v in nu]
+    return [mp.fsum(t * v**m for v, t in zip(nu, terms)) / mp.factorial(m) for m in range(n)]
+
+
+def _divide(a, b, n):
+    """The Taylor coefficients of a/b to order n - 1, b_0 != 0."""
+    q = []
+    for k in range(n):
+        q.append((a[k] - mp.fsum(q[j] * b[k - j] for j in range(k))) / b[0])
+    return q
+
+
+def _core_taylor_mp(tw, w, tau, c0, n):
+    """Taylor coefficients h_0..h_(n-1) in s of the core
+    theta[a1; b1](c0 + s + kappa*w) theta1'(0) / (theta[a1; b1](kappa*w)
+    theta1(c0 + s)), less 1/s at c0 = 0, at 30 digits."""
+    c = tw.kappa * w
+    num = _theta_taylor_mp(tw.alpha1, tw.beta1, c0 + c, tau, n + 1)
+    th1 = _theta_taylor_mp(0.5, 0.5, c0, tau, n + 2)
+    scale = _theta_taylor_mp(0.5, 0.5, 0.0, tau, 2)[1] / _theta_mp(tw.alpha1, tw.beta1, c, tau)
+    if c0 != 0:
+        return _divide([scale * a for a in num], th1, n)
+    # theta1(s) = s*g(s), so core - 1/s = (scale*num - g)/(s*g), whose
+    # numerator vanishes at s = 0
+    g = th1[1:]
+    return _divide([scale * a - b for a, b in zip(num, g)][1:], g, n)
+
+
+@pytest.mark.parametrize("tau, w", [(0.3 + 1.1j, 0.5 + 2.2j), (-7.6 + 0.9j, 1.3 + 4.1j)])
+def test_core_taylor_data_matches_mpmath(tau, w):
+    # h_n, n <= 30, at the offsets c0 = 0, w, -w of the moment blocks, read
+    # by FFT from one grid of the core on the circle of radius r, against
+    # the 30-digit Taylor expansion.  Order n carries about eps*max|h|/r^n,
+    # so it is compared at the scale of h_n*r^n; the theta terms carry the
+    # phase pi*nu^2*Re(tau), whose round-off grows with |Re tau| (see
+    # _roundoff): the errors are 6.2e-16 and 7.7e-15 of the largest h_n*r^n
+    sew = SewingConfig(tau, w, 1e-3)
+    tw = TwistConfig(alpha1=0.15, beta1=0.25, beta2=0.1, kappa=0.2)
+    szego._moment_block_cached.cache_clear()
+    surface = szego._surface(sew, tw)
+    _, _, h = surface._taylor_data(16)
+    _, r = szego._taylor_circle(32, szego._TAYLOR_M_CORE, surface.R)
+    scale = r ** np.arange(31)
+    for c, c0 in ((0, 0.0), (1, w), (-1, -w)):
+        ref = np.array([complex(x) for x in _core_taylor_mp(tw, w, tau, c0, 31)]) * scale
+        err = np.abs(h[c][:31] * scale - ref)
+        assert err.max() <= 4e-15 * (1.0 + abs(tau.real)) * np.abs(ref).max()
+
+
 def _series_values():
     """The theta grid, eta, Ehat_k for k in {8, 40, 432} and T on one
     surface, with the moment blocks built afresh."""

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sewkernel import SewingConfig, TwistConfig, moment_block, s_kappa, szego
+from sewkernel import (
+    SewingConfig,
+    TwistConfig,
+    lattice_min_distance,
+    moment_block,
+    nearest_lattice_point,
+    s_kappa,
+    szego,
+)
 from sewkernel.szego import (
     _log_A_circle,
     _log_A_radial,
@@ -62,6 +70,16 @@ def test_sewing_config_validation():
     sew = SewingConfig(TAU, W, 1e-3)
     assert abs(sew.sqrt_rho**2 - sew.rho) < 1e-15
     assert abs(sew.rho_pow(1.0) - sew.rho) < 1e-15
+
+
+@pytest.mark.parametrize("r", [-0.5, 0.0])
+@pytest.mark.parametrize("fields", [("r1",), ("r2",), ("r1", "r2")])
+def test_sewing_config_rejects_non_positive_radii(fields, r):
+    # before, r1 = r2 = -0.5 passed |rho| < r1*r2 = 0.25, z2_fermionic
+    # returned a value and s2_eval raised "external point coincides with the
+    # puncture" from the negative clipped radii of half_diff
+    with pytest.raises(ValueError, match="radii must be positive"):
+        SewingConfig(TAU, W, 1e-3, **{f: r for f in fields})
 
 
 @pytest.mark.parametrize(
@@ -197,9 +215,32 @@ def test_moment_block_reconstructs_regularised_kernel(a, bidx, sew, tw):
 
 
 def test_moment_block_quadrature_converged(sew, tw):
-    C1 = moment_block(1, 2, 8, sew, tw, quad_M=128)
-    C2 = moment_block(1, 2, 8, sew, tw, quad_M=256)
-    assert np.max(np.abs(C1 - C2)) < 1e-10 * max(np.max(np.abs(C2)), 1.0)
+    # the blocks come from Taylor circles fixed by N and the geometry, so
+    # quad_M, which only has to resolve N, changes no bit of a cold block
+    built = []
+    for quad_M in (64, 128, 256):
+        szego._moment_block_cached.cache_clear()
+        built.append(moment_block(1, 2, 8, sew, tw, quad_M=quad_M))
+    assert all(np.array_equal(C, built[0]) for C in built[1:])
+
+
+def test_T_does_not_depend_on_the_contour_radii(tw):
+    # before, the blocks were double contour integrals over the circles r1,
+    # r2: from r1 = r2 = 0.55 * min(dist(w, Lambda), D(q)) on they enclosed
+    # a pole of the core, and det(I - T) drifted from 1.06808-0.05382i at
+    # 0.3 and 0.45 to 1.05318-0.04684i at 0.55 and 1.02995-0.02468i at 0.999
+    lam, _, _ = nearest_lattice_point(W, TAU)
+    R = min(abs(W - lam), lattice_min_distance(TAU))
+    expect = 1.0680762870843836 - 0.0538240343932374j
+    ref = None
+    for f in (0.3, 0.45, 0.55, 0.7, 0.999):
+        sew = SewingConfig(TAU, W, 1e-3, r1=f * R, r2=f * R)
+        T = build_T(12, sew, tw, quad_M=128)
+        assert abs(np.linalg.det(np.eye(24) - T) / expect - 1.0) < 1e-14
+        blocks = [moment_block(a, b, 12, sew, tw, quad_M=128) for a in (1, 2) for b in (1, 2)]
+        ref = blocks if ref is None else ref
+        for C, C0 in zip(blocks, ref):
+            assert np.max(np.abs(C - C0)) <= 1e-14 * np.max(np.abs(C0))
 
 
 def test_moment_block_immutable(sew, tw):
@@ -236,19 +277,24 @@ def test_moment_block_sums_the_tail_bound_terms_only(tw, monkeypatch):
 
 
 def test_surface_builds_each_contour_once(sew, tw, monkeypatch):
-    # the four blocks share four contours, and half_diff reads the
-    # full-radius ones from the same surface; a clipped radius is built anew
+    # the four blocks read one Taylor circle per side, at half the radius of
+    # convergence whatever r1 and r2; half_diff builds its full-radius
+    # contour once and reuses it, and builds a clipped radius anew
+    szego._moment_block_cached.cache_clear()
     calls = []
     log_a = szego._log_A_circle
-    monkeypatch.setattr(szego, "_log_A_circle", lambda *a: calls.append(a[:2]) or log_a(*a))
+    monkeypatch.setattr(szego, "_log_A_circle", lambda *a: calls.append(a[:3]) or log_a(*a))
     s = SewingConfig(sew.tau, sew.w, sew.rho, r1=0.9 * sew.r1)
     build_T(8, s, tw, quad_M=64)
-    assert sorted(calls) == sorted([(1, s.r1), (2, s.r2), (1, 0.8 * s.r1), (2, 0.8 * s.r2)])
+    R = szego._surface(s, tw).R
+    assert sorted(calls) == [(1, 0.5 * R, 64), (2, 0.5 * R, 64)]
+    build_T(8, s, tw, quad_M=128)
     half_diff(1, 1.1 + 0.9j, 8, s, tw, quad_M=64)
-    half_diff(2, 1.1 + 0.9j, 8, s, tw, quad_M=64, bar=True)
-    assert len(calls) == 4
+    half_diff(2, 1.1 + 0.9j, 8, s, tw, quad_M=64, bar=True)  # also side 1
+    half_diff(1, 1.1 + 0.9j, 8, s, tw, quad_M=64)
+    assert calls[2:] == [(1, s.r1, 64)]
     half_diff(1, 0.2 * s.r1, 8, s, tw, quad_M=64)  # clipped to 0.14 * r1
-    assert len(calls) == 5 and calls[-1][1] < s.r1
+    assert len(calls) == 4 and calls[-1][1] < s.r1
 
 
 def test_surface_is_keyed_on_the_rho_free_geometry(sew, tw, monkeypatch):
@@ -264,7 +310,7 @@ def test_surface_is_keyed_on_the_rho_free_geometry(sew, tw, monkeypatch):
     t = replace(tw, beta2=-0.3, B=3)
     T = build_T(8, s, t, quad_M=64)
     assert szego._moment_block_cached.cache_info().misses == 1
-    assert len(grids) == 4
+    assert len(grids) == 1  # the core at the three offsets, once
     szego._moment_block_cached.cache_clear()
     assert np.array_equal(T, build_T(8, s, t, quad_M=64))
 
