@@ -1,7 +1,8 @@
 """Determinant evaluations for the sewing formalism: det(I - T) by trace-log
-series or pivoted LU, the bosonic moment matrix R with det(I - R)^(-1/2) on
-the branch continued from rho = 0, read off the same trace-log series, and
-finite minor expansions used as oracles."""
+series or pivoted LU, the bosonic moment matrix R, whose E_k and P_m are
+Taylor coefficients of log theta1 read on one circle, with det(I - R)^(-1/2)
+on the branch continued from rho = 0, read off the same trace-log series,
+and finite minor expansions used as oracles."""
 
 from __future__ import annotations
 
@@ -11,7 +12,13 @@ from itertools import combinations
 import numpy as np
 from scipy.special import gammaln
 
-from .elliptic import eisenstein_hat, weierstrass_P, weierstrass_P_orders
+from .elliptic import (
+    _log_theta1_taylor,
+    eisenstein,
+    lattice_min_distance,
+    nearest_lattice_point,
+    weierstrass_P,
+)
 from .szego import _check_order
 
 
@@ -83,9 +90,7 @@ def _moment_factor(k, l):
 def moment_C_boson(k, l, tau):
     """Bosonic moment C(k, l, tau) = (-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!)
     E_{k+l}(tau)."""
-    m = k + l
-    ehat = eisenstein_hat(m, tau)
-    return complex(_moment_factor(k, l) * ehat[m] * (2.0 * np.pi) ** -m)
+    return complex(_moment_factor(k, l) * eisenstein(k + l, tau))
 
 
 def moment_D_boson(k, l, tau, z):
@@ -101,16 +106,21 @@ def build_R(N, sew):
                      * [[D(k,l,tau,w), C(k,l,tau)],
                         [C(k,l,tau),  D(l,k,tau,w)]]_ab.
 
-    One table of Ehat_m = (2*pi)^m E_m(tau) serves both the Eisenstein
-    values of C and the Laurent series of every P_m(tau, w), m <= 2N.
+    E_m and P_m(tau, w), m <= 2N, are the Taylor coefficients
+    -m * [s^m] log(theta1(s)/s) and (-1)^(m+1) * m * [s^m] log theta1(w + s)
+    (see elliptic.eisenstein and elliptic.weierstrass_P), read at the
+    centres 0 and w from one grid on a circle inside the zero-free disk of
+    radius min(D(q), dist(w, Lambda)) of both.
     """
     N = _check_order(N)
     tau = sew.tau
-    ehat = eisenstein_hat(2 * N + 400, tau)
-    orders = np.arange(2, 2 * N + 1)
-    P = np.zeros(2 * N + 1, dtype=complex)
-    P[orders] = weierstrass_P_orders(orders, sew.w, tau, ehat)
-    E = ehat[: 2 * N + 1] * (2.0 * np.pi) ** -np.arange(2 * N + 1.0)
+    lam, _, _ = nearest_lattice_point(sew.w, tau)
+    w = complex(sew.w) - complex(lam)
+    a = _log_theta1_taylor(2 * N, [0.0, w], min(lattice_min_distance(tau), abs(w)), tau)
+    m = np.arange(2 * N + 1)
+    E = -m * a[:, 0]
+    E[1::2] = 0.0  # E_m vanishes at odd m
+    P = (-1.0) ** (m + 1) * m * a[:, 1]
     k = np.arange(1, N + 1)
     K, L = k[:, None], k[None, :]
     fac = _moment_factor(K, L)

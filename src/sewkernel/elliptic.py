@@ -25,16 +25,21 @@ double-precision round-off relative to the largest term kept:
   centred on a/(2*pi*t).  Both tails beyond a distance W from the centre sum
   to at most 2*exp(-pi*t*W^2)/(1 - exp(-2*pi*t*W)) times the largest term,
   and W is chosen so that this is below round-off;
-* the q-series (eta, the Eisenstein table) stop where their geometric tail
-  is below round-off;
-* the Laurent series of the Weierstrass-type functions stop after three
-  consecutive terms below _LAURENT_RTOL of the partial sum.
+* the q-series of eta stops where its geometric tail is below round-off.
 
 No caller sets a range or a tolerance: the tail bounds alone fix them.
 On a product grid, theta[alpha; beta](x_i - y_j) for a column x and a row
 y, the lattice sum separates into one matrix product (see
 theta_char_g1_diff), whose terms far below round-off of every entry are
 dropped before the product.
+
+Taylor coefficients are read on circles by one FFT (see _taylor_circle and
+_taylor): on a circle of M points inside the disk of analyticity, the
+trapezoid rule aliases onto order n only the orders n + M, n + 2M, ...,
+so its error decays geometrically in M (Trefethen & Weideman, SIAM Rev. 56,
+2014).  The Eisenstein series E_k and the Weierstrass-type functions P_m
+are such coefficients of log theta1, read from one theta grid for any
+number of orders and centres (see _log_theta1_taylor).
 """
 
 from __future__ import annotations
@@ -42,18 +47,11 @@ from __future__ import annotations
 from math import ceil, floor, log
 
 import numpy as np
-from scipy.special import gammaln, zeta
 
 TWO_PI_I = 2.0j * np.pi
-LOG_2PI = log(2.0 * np.pi)
 
 # a tail below exp(-_LOG_EPS) of the largest term is below round-off
 _LOG_EPS = -log(np.finfo(float).eps)
-
-# number of terms of the Laurent series of P_m (orders k = m, m + 2, ...),
-# and the relative size below which three consecutive terms stop it
-_LAURENT_TERMS = 200
-_LAURENT_RTOL = 1e-12
 
 
 def _check_tau(tau):
@@ -342,64 +340,49 @@ def dedekind_eta(tau):
     return np.exp(TWO_PI_I * tau / 24.0) * total
 
 
-def _ehat_lambert(k, tau, log_u):
-    """u^(-k) * Ehat_k(tau), log_u = log(u), for the even orders k >= 2 in
-    the array k, from the Lambert series of E_k (see eisenstein),
+# Least point count M of the circles of _log_theta1_taylor
+_TAYLOR_M_LOG_THETA1 = 512
 
-        Ehat_k = (-1)^(k/2) * 2*zeta(k)
-                 + (2*(2*pi)^k/(k-1)!) * sum_{d>=1} d^(k-1) q^d/(1 - q^d).
 
-    Every term is formed as the exponential of its logarithm, so no power
-    of 2*pi or factorial overflows on its own.  Past
-    d0 = (max(k) - 1)/(pi*Im(tau)) each term is below exp(-pi*Im(tau)) times
-    the one before, which fixes the number of terms in advance.
+def _taylor_circle(n, min_M, R):
+    """(M, radius) of a circle that gives n Taylor coefficients of a
+    function analytic on |s| < R: M is a power of two, at least n and
+    min_M, and the radius 2^(-64/M)*R aliases onto each DFT bin only the
+    coefficients M orders higher, 2^-64 smaller relative."""
+    M = max(min_M, 1 << int(n - 1).bit_length())
+    return M, 2.0 ** (-64.0 / M) * R
+
+
+def _taylor(values, r):
+    """Taylor coefficients a_n, n = 0..M-1, of the columns of values, taken
+    at s_j = r*exp(2*pi*i*j/M): a_n r^n is DFT bin n divided by M."""
+    M = values.shape[0]
+    return np.fft.fft(values, axis=0) / M * r ** -np.arange(float(M))[:, None]
+
+
+def _log_theta1_taylor(n, centres, R, tau):
+    """Taylor coefficients a_0..a_n in s of log theta1(c + s, tau), less
+    log s at c = 0, for each centre c in the list centres, as the columns of
+    an (n + 1) x len(centres) array; theta1(c + s) must have no zero on
+    0 < |s| < R.
+
+    One theta_char_g1_diff grid gives every centre on the circle of
+    _taylor_circle with M >= 8n points, so order n carries at most
+    2^(64n/M) <= 2^8 times the round-off eps/r^n of the radius r itself.
+    The phase is unwrapped around the circle; one that does not close
+    raises RuntimeError.  The grid is summed at tau - round(Re tau): theta1
+    changes by a constant factor under tau -> tau + 1, which moves a_0 only,
+    and the phases of its terms then carry no round-off of order |Re tau|.
     """
-    t = np.imag(tau)
-    d0 = max(1, ceil((k.max() - 1) / (np.pi * t)))
-    # log |term| at d0 for every k, with |1/(1 - q^d0)| <= 1/(1 - |q|^d0)
-    x0 = 2.0 * np.pi * t * d0
-    log_d0 = (k - 1) * log(2.0 * np.pi * d0) + LOG_2PI - gammaln(k) - x0 - np.log1p(-np.exp(-x0))
-    peak = np.max(log_d0) + _LOG_EPS - np.log1p(-np.exp(-np.pi * t))
-    d_max = d0 + max(0, ceil(peak / (np.pi * t)))
-    d = np.arange(1, d_max + 1)
-    log_lambert = TWO_PI_I * tau * d - np.log1p(-np.exp(TWO_PI_I * tau * d))
-    scale = k * log_u
-    logs = (
-        np.multiply.outer(k - 1, np.log(2.0 * np.pi * d))
-        + (LOG_2PI - gammaln(k) - scale)[:, None]
-        + log_lambert[None, :]
-    )
-    return (-1.0) ** (k // 2) * 2.0 * zeta(k) * np.exp(-scale) + 2.0 * np.exp(logs).sum(axis=1)
-
-
-def eisenstein_hat(kmax, tau):
-    """Table of the scaled Eisenstein series Ehat_k = (2*pi)^k * E_k(tau),
-    k = 0..kmax, as an array indexed by k (zero at odd k and at k < 2).
-
-    The Lambert series (see _ehat_lambert) is summed at tau reduced to the
-    fundamental domain.  With the reduced basis u, v of Z + Z*tau (see
-    _reduced_basis) and tau_r = +-v/u in the upper half plane,
-    Lambda(tau) = u * Lambda(tau_r), and E_k = sum'_lam lam^(-k) for k >= 4,
-    so Ehat_k(tau) = u^(-k) * Ehat_k(tau_r), with u^(-k) taken into the
-    logarithm of every term.  At tau itself the terms of high order cancel
-    where Im(tau) is small against |tau|.  E_2 is only quasi-modular; where
-    tau_r is not tau plus an integer, it is summed at tau itself, where its
-    terms d*q^d/(1 - q^d) do not cancel that way.
-    """
-    _check_tau(tau)
-    out = np.zeros(kmax + 1, dtype=complex)
-    k = np.arange(2, kmax + 1, 2)
-    if not k.size:
-        return out
-    (n1, m1), (n2, m2) = _reduced_basis(tau)
-    u = n1 + m1 * tau
-    tau_r = (n2 + m2 * tau) / u
-    if tau_r.imag < 0:
-        tau_r = -tau_r
-    out[k] = _ehat_lambert(k, tau_r, np.log(u))
-    if m1:
-        out[2] = _ehat_lambert(k[:1], tau, 0.0)[0]
-    return out
+    M, r = _taylor_circle(8 * n, _TAYLOR_M_LOG_THETA1, R)
+    s = r * np.exp(TWO_PI_I * np.arange(M) / M)
+    c = np.asarray(centres, dtype=complex)
+    vals = theta_char_g1_diff(0.5, 0.5, s[:, None], -c[None, :], tau - round(np.real(tau)))
+    vals[:, c == 0] /= s[:, None]
+    ang = np.unwrap(np.angle(np.vstack([vals, vals[:1]])), axis=0)
+    if np.any(np.abs(ang[-1] - ang[0]) > 1e-6):
+        raise RuntimeError("log theta1 winds around its Taylor circle; a zero of theta1 inside")
+    return _taylor(np.log(np.abs(vals)) + 1j * ang[:-1], r)[: n + 1]
 
 
 def eisenstein(k, tau):
@@ -408,44 +391,19 @@ def eisenstein(k, tau):
     weierstrass_P): P_2(tau, z) - 1/z^2 = sum_{k>=2} (k-1) E_k(tau) z^(k-2).
 
     Concretely E_k = -B_k/k! + (2/(k-1)!) * sum_{n>=1} sigma_{k-1}(n) q^n for
-    even k >= 2 (E_2 = -1/12 + 2q + ...), and E_k = 0 for odd k.  The value
-    is read from the table eisenstein_hat.
+    even k >= 2 (E_2 = -1/12 + 2q + ...), E_k = sum'_lam lam^(-k) over
+    Lambda for even k >= 4, and E_k = 0 for odd k.  Since
+    P_2 = -d^2/dz^2 log K, log K(z) = log z - sum_{k>=2} E_k z^k / k, and
+    E_k = -k * [s^k] log(theta1(s)/s) is read on a circle inside the
+    zero-free disk |s| < D(q) (see _log_theta1_taylor).
     """
     _check_tau(tau)
     if k < 2:
         raise ValueError("eisenstein requires k >= 2")
     if k % 2 == 1:
         return 0.0j
-    return complex(eisenstein_hat(k, tau)[k] * (2.0 * np.pi) ** -k)
-
-
-def weierstrass_P_orders(ms, z, tau, ehat):
-    """P_m(tau, z) for every order m in the integer array ms, from a table
-    ehat = eisenstein_hat(kmax, tau) with kmax >= max(ms) + 399.
-
-    Each Laurent series (see weierstrass_P) is summed over its first
-    _LAURENT_TERMS terms and stopped after three consecutive terms below
-    _LAURENT_RTOL relative to the partial sum; a series that does not stop
-    raises RuntimeError.
-    """
-    _check_tau(tau)
-    z = complex(z)
-    lam, _, _ = nearest_lattice_point(z, tau)
-    z = z - complex(lam)
-    if abs(z) < 1e-12 * lattice_min_distance(tau):
-        raise ValueError("weierstrass_P evaluated at a lattice point")
-    m = np.asarray(ms, dtype=int).reshape(-1, 1)
-    k = m + m % 2 + 2 * np.arange(_LAURENT_TERMS)
-    # ((-1)^m/(m-1)!) (k-1)!/(k-m)! E_k z^(k-m)
-    #     = (-1)^m C(k-1, m-1) Ehat_k (z/(2*pi))^(k-m) (2*pi)^(-m)
-    log_coef = gammaln(k) - gammaln(k - m + 1) - gammaln(m) + (k - m) * np.log(z / (2.0 * np.pi))
-    terms = (-1.0) ** m * (2.0 * np.pi) ** -m * np.exp(log_coef) * ehat[k]
-    totals = z**-m + np.cumsum(terms, axis=1)
-    small = np.abs(terms) < _LAURENT_RTOL * np.maximum(np.abs(totals), 1e-300)
-    stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-    if not stop.any(axis=1).all():
-        raise RuntimeError("weierstrass_P series did not converge; |z| too close to D(q)?")
-    return totals[np.arange(len(m)), stop.argmax(axis=1) + 2]
+    a = _log_theta1_taylor(k, [0.0], lattice_min_distance(tau), tau)
+    return complex(-k * a[k, 0])
 
 
 def weierstrass_P(m, z, tau):
@@ -457,11 +415,20 @@ def weierstrass_P(m, z, tau):
         P_m(z) = 1/z^m
                + ((-1)^m/(m-1)!) * sum_{k>=m even} (k-1) (k-2)!/(k-m)! E_k z^(k-m).
 
-    z is reduced modulo the lattice to the representative nearest the origin
-    before the Laurent series is summed.
+    Since P_2 = -d^2/dz^2 log theta1, P_m(z) = (-1)^(m+1) * m *
+    [s^m] log theta1(z + s), read on a circle inside the zero-free disk
+    |s| < dist(z, Lambda) around z reduced modulo the lattice (see
+    _log_theta1_taylor).
     """
-    ehat = eisenstein_hat(m + 2 * _LAURENT_TERMS, tau)
-    return complex(weierstrass_P_orders([m], z, tau, ehat)[0])
+    _check_tau(tau)
+    if m < 2:
+        raise ValueError("weierstrass_P requires m >= 2")
+    lam, _, _ = nearest_lattice_point(z, tau)
+    z = complex(z) - complex(lam)
+    if abs(z) < 1e-12 * lattice_min_distance(tau):
+        raise ValueError("weierstrass_P evaluated at a lattice point")
+    a = _log_theta1_taylor(m, [z], abs(z), tau)
+    return complex((-1) ** (m + 1) * m * a[m, 0])
 
 
 def twisted_P1(theta_mult, phi_mult, z, tau):

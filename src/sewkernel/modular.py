@@ -184,15 +184,6 @@ def _act_point_one(name, power, p):
         # log(rho) rides along the lift of lhat = log(-rho / K^2)
         nu = _round_winding((shift + 2.0 * dlogK) / TWO_PI_I, "log_rho")
         log_rho2 = p.log_rho + TWO_PI_I * nu
-        # anchor logs: lambda_1 ~ log(-K(w)), lambda_2 ~ log(1/K(w))
-        anc1 = np.log(-prime_form_K(w, tau)) + TWO_PI_I * p.n1 + dlogK
-        anc2 = np.log(1.0 / prime_form_K(w, tau)) + TWO_PI_I * p.n2 - dlogK
-        n1 = _round_winding(
-            (anc1 - np.log(-prime_form_K(w2, tau2))) / TWO_PI_I, "anchor-1"
-        )
-        n2 = _round_winding(
-            (anc2 - np.log(1.0 / prime_form_K(w2, tau2))) / TWO_PI_I, "anchor-2"
-        )
     else:
         a1, b1, c1, d1 = _SL2_PARAMS[name]
         if power == -1:
@@ -205,18 +196,18 @@ def _act_point_one(name, power, p):
         log_den = np.log(complex(den))
         log_rho2 = p.log_rho - 2.0 * log_den
         # the prime form obeys K(w/den, tau2) = K(w, tau) * den^-1
-        # * exp(-shift/2); transport the anchor logs multiplicatively on the
-        # same branch of log(den) as log(rho)
-        anc1 = np.log(-prime_form_K(w, tau)) + TWO_PI_I * p.n1 - log_den - 0.5 * shift
-        anc2 = np.log(1.0 / prime_form_K(w, tau)) + TWO_PI_I * p.n2 + log_den + 0.5 * shift
-        n1 = _round_winding(
-            (anc1 - np.log(-prime_form_K(w2, tau2))) / TWO_PI_I, "anchor-1"
-        )
-        n2 = _round_winding(
-            (anc2 - np.log(1.0 / prime_form_K(w2, tau2))) / TWO_PI_I, "anchor-2"
-        )
-    target = p.lhat() + shift
-    base2 = np.log(-rho2 / prime_form_K(w2, tau2) ** 2)
+        # * exp(-shift/2); log K moves on the same branch of log(den) as
+        # log(rho)
+        dlogK = -log_den - 0.5 * shift
+    K, K2 = prime_form_K(w, tau), prime_form_K(w2, tau2)
+    # anchor logs: lambda_1 ~ log(-K(w)), lambda_2 ~ log(1/K(w))
+    anc1 = np.log(-K) + TWO_PI_I * p.n1 + dlogK
+    anc2 = np.log(1.0 / K) + TWO_PI_I * p.n2 - dlogK
+    n1 = _round_winding((anc1 - np.log(-K2)) / TWO_PI_I, "anchor-1")
+    n2 = _round_winding((anc2 - np.log(1.0 / K2)) / TWO_PI_I, "anchor-2")
+    # p.lhat() + shift, against lhat at the image point
+    target = np.log(-rho / K**2) + TWO_PI_I * p.m + shift
+    base2 = np.log(-rho2 / K2**2)
     m2_int = _round_winding((target - base2) / TWO_PI_I, "lhat")
     return LiftedPoint(tau2, w2, rho2, m2_int, complex(log_rho2), n1, n2)
 

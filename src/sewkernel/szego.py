@@ -43,6 +43,8 @@ import numpy as np
 from .elliptic import (
     _check_off_lattice_grid,
     _is_grid,
+    _taylor,
+    _taylor_circle,
     _theta_grid_factors,
     lattice_min_distance,
     nearest_lattice_point,
@@ -112,7 +114,9 @@ class SewingConfig:
     log(rho) used for all fractional rho-powers.
 
     r1, r2 are the radii of the extraction contours of half_diff around the
-    two punctures (the moment blocks do not read them) and must be positive.
+    two punctures (the moment blocks do not read them, and half_diff clips
+    them inside the analyticity disk of the branch factor) and must be
+    positive.
     They default to 0.45 * min(dist(w, Lambda), D(q)), which keeps both
     contours inside the sewing annuli for every point of the sewing domain.
     sqrt_rho / log_rho may be overridden to select a continued branch (used by
@@ -391,7 +395,8 @@ def _contour(side, r, M, sew, tw):
     return t + puncture_center(side, sew), {s: np.exp(s * tw.kappa * loga) for s in (1, -1)}
 
 
-# Floors of the point counts M of the Taylor circles (see _taylor_circle).
+# Floors of the point counts M of the Taylor circles (see
+# elliptic._taylor_circle).
 # T weights order n by sqrt|rho|^n < (0.45*R)^n at the default radii, and
 # order n read at radius r carries round-off eps/r^n: the puncture factors
 # are read at R/2, and the core, whose orders the binomials of
@@ -400,30 +405,14 @@ _TAYLOR_M_LOG_A = 64
 _TAYLOR_M_CORE = 512
 
 
-def _taylor_circle(n, floor, R):
-    """(M, radius) of a circle that gives n Taylor coefficients of a
-    function analytic on |s| < R: M is a power of two, at least n and the
-    floor, and the radius 2^(-64/M)*R aliases onto each DFT bin only the
-    coefficients M orders higher, 2^-64 smaller relative."""
-    M = max(floor, 1 << (n - 1).bit_length())
-    return M, 2.0 ** (-64.0 / M) * R
-
-
-def _taylor(values, r):
-    """Taylor coefficients a_n, n = 0..M-1, of the columns of values, taken
-    at s_j = r*exp(2*pi*i*j/M): a_n r^n is DFT bin n divided by M."""
-    M = values.shape[0]
-    return np.fft.fft(values, axis=0) / M * r ** -np.arange(float(M))[:, None]
-
-
 class _Surface:
-    """Cached state of one rho-free geometry, the key (tau, w, r1, r2,
-    branch_n1, branch_n2, alpha1, beta1, kappa) of _surface: the four
-    moment blocks at the largest N asked for so far, and the extraction
-    contours of half_diff by (side, radius, quad_M).  Every series in them
-    is summed over its tail-bound range, so no accuracy setting enters the
-    key.  Its sew and tw carry an admissible rho and beta2 = 0, read by
-    nothing.
+    """Cached state of one rho-free geometry, the key (tau, w, branch_n1,
+    branch_n2, alpha1, beta1, kappa) of _surface: the four moment blocks at
+    the largest N asked for so far, and the extraction contours of
+    half_diff by (side, radius, quad_M).  Every series in them is summed
+    over its tail-bound range, so no accuracy setting enters the key.  Its
+    sew and tw carry the default radii, an admissible rho and beta2 = 0,
+    read by nothing.
 
     The regularised kernel of a block is u(x) * v(y) * h(c0 + x - y), with
     u = exp(+kappa*log A) at the x-puncture, v = exp(-kappa*log A) at the
@@ -442,11 +431,11 @@ class _Surface:
     twice; each call returns what it built or found.
     """
 
-    def __init__(self, tau, w, r1, r2, n1, n2, alpha1, beta1, kappa):
-        self.sew = SewingConfig(tau, w, 0.25 * r1 * r2, r1, r2, branch_n1=n1, branch_n2=n2)
-        self.tw = TwistConfig(alpha1, beta1, 0.0, kappa)
+    def __init__(self, tau, w, n1, n2, alpha1, beta1, kappa):
         lam, _, _ = nearest_lattice_point(w, tau)
         self.R = min(lattice_min_distance(tau), abs(complex(w) - complex(lam)))
+        self.sew = SewingConfig(tau, w, 0.01 * self.R**2, branch_n1=n1, branch_n2=n2)
+        self.tw = TwistConfig(alpha1, beta1, 0.0, kappa)
         self.contours = {}
         self.blocks = (0, None)  # (N, {(a, b): block}), swapped in whole
 
@@ -514,8 +503,9 @@ def _moment_block_cached(key):
 
 def _surface(sew, tw):
     """The cached _Surface of the fields of (sew, tw) that contours and blocks
-    read: rho, log_rho, beta2 and B enter T only outside the blocks."""
-    return _moment_block_cached((sew.tau, sew.w, sew.r1, sew.r2, sew.branch_n1, sew.branch_n2,
+    read: rho, log_rho, beta2 and B enter T only outside the blocks, and
+    half_diff keys its contours by radius, so r1 and r2 stay out too."""
+    return _moment_block_cached((sew.tau, sew.w, sew.branch_n1, sew.branch_n2,
                                  tw.alpha1, tw.beta1, tw.kappa))
 
 
@@ -560,12 +550,17 @@ def half_diff(a, points, N, sew, tw, quad_M=256, bar=False):
 
     The fractional part of the contour power is realised through the
     branch-tracked puncture factor, the external point keeps its
-    principal-branch factor.  Each point gets the circle of radius
-    min(r, 0.7 * distance to the nearest lattice translate of the puncture),
-    which keeps it clear of the kernel pole; the points that share a radius
-    are evaluated as one product grid and one FFT along the contour.  The
-    full-radius circle comes from the surface cache (see _Surface), a
-    clipped one is built on the spot.  The lattice guard of each grid is
+    principal-branch factor.  The branch factor is analytic on the disk of
+    radius R = min(D(q), dist(w, Lambda)) around the puncture, so the full
+    radius is r1 or r2 clipped to 2^(-64/quad_M) * R, where the contour
+    aliases onto each order only the orders quad_M higher, 2^-64 smaller
+    relative; at quad_M >= 64 the default radii 0.45 * R lie below it.
+    Each point gets the circle of radius min(full radius, 0.7 * distance to
+    the nearest lattice translate of the puncture), which keeps it clear of
+    the kernel pole; the points that share a radius are evaluated as one
+    product grid and one FFT along the contour.  The full-radius circle
+    comes from the surface cache (see _Surface), a smaller one is built on
+    the spot.  The lattice guard of each grid is
     decided from the distance of the points to the lattice translates of
     the circle (see elliptic._check_off_lattice_grid).
 
@@ -575,7 +570,8 @@ def half_diff(a, points, N, sew, tw, quad_M=256, bar=False):
     _check_quadrature(N, quad_M)
     side = _other(a) if bar else a
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    r_full = sew.r1 if side == 1 else sew.r2
+    surface = _surface(sew, tw)
+    r_full = min(sew.r1 if side == 1 else sew.r2, 2.0 ** (-64.0 / quad_M) * surface.R)
     radii = np.minimum(r_full, 0.7 * puncture_distance(pts, side, sew))
     if np.any(radii <= 0):
         raise ValueError("external point coincides with the puncture")
@@ -586,7 +582,6 @@ def half_diff(a, points, N, sew, tw, quad_M=256, bar=False):
     k = np.arange(1, N + 1, dtype=float)
     out = np.empty((pts.size, N), dtype=complex)
     sign = +1 if bar else -1
-    surface = _surface(sew, tw)
     for r in np.unique(radii):
         sel = radii == r
         if r == r_full:

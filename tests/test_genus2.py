@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from sewkernel import SewingConfig, TwistConfig, s2_eval, s_kappa
+from sewkernel import (
+    SewingConfig,
+    TwistConfig,
+    lattice_min_distance,
+    nearest_lattice_point,
+    s2_eval,
+    s_kappa,
+)
 from sewkernel.determinants import det_I_minus
 from sewkernel.genus2 import (
     annulus_point,
@@ -99,6 +106,21 @@ def test_s2_correction_converges_in_N(sew, tw):
     v20 = s2_eval(x, y, sew, tw, N=20, quad_M=128).value
     assert abs(v20 - v16) < abs(v16 - v8) + 1e-14
     assert abs(v20 - v16) < 1e-10
+
+
+def test_s2_does_not_depend_on_the_contour_radii(tw):
+    # half_diff clips r1, r2 to 2^(-64/quad_M) * R inside the analyticity
+    # disk R = min(dist(w, Lambda), D(q)) of the branch factor; an
+    # unclipped circle at 0.999 * R passes within 0.1% of a pole of A_2 and
+    # moves s2_eval by 2.2e-7
+    lam, _, _ = nearest_lattice_point(W, TAU)
+    R = min(abs(W - lam), lattice_min_distance(TAU))
+    ref = None
+    for f in (0.3, 0.6, 0.9, 0.999):
+        sew = SewingConfig(TAU, W, 1e-3, r1=f * R, r2=f * R)
+        v = s2_eval(3.0 + 1.0j, -0.8 + 1.7j, sew, tw).value
+        ref = v if ref is None else ref
+        assert abs(v / ref - 1.0) <= 1e-14
 
 
 def test_s2_rejects_points_outside_domain(tw):

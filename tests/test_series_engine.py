@@ -1,8 +1,8 @@
 """The series engine against plain references: the product-grid theta
 against a per-point loop and a 30-digit mpmath sum (also on wide grids),
-the tail-bound ranges against ranges widened to twice the bound, the scaled
-Eisenstein table and P_2 against mpmath, and the lattice helpers against
-brute force.
+the tail-bound ranges against ranges widened to twice the bound, the
+Taylor-circle readings of E_k and P_m against mpmath q-series and lattice
+sums, and the lattice helpers against brute force.
 
 Tolerances come from the round-off of a double-precision lattice sum: a
 term exp(arg) carries a relative error of a few eps * (1 + |arg|), so two
@@ -20,7 +20,9 @@ import pytest
 from sewkernel import (
     SewingConfig,
     TwistConfig,
+    build_R,
     build_T,
+    eisenstein,
     lattice_min_distance,
     nearest_lattice_point,
     theta_char_g1,
@@ -28,7 +30,7 @@ from sewkernel import (
     z2_heisenberg,
 )
 from sewkernel import elliptic, szego
-from sewkernel.elliptic import dedekind_eta, eisenstein_hat, theta_char_g1_diff
+from sewkernel.elliptic import dedekind_eta, theta_char_g1_diff
 
 EPS = np.finfo(float).eps
 TWO_PI_I = 2j * np.pi
@@ -187,8 +189,8 @@ def test_core_taylor_data_matches_mpmath(tau, w):
 
 
 def _series_values():
-    """The theta grid, eta, Ehat_k for k in {8, 40, 432} and T on one
-    surface, with the moment blocks built afresh."""
+    """The theta grid, eta, E_k for k in {8, 40}, R and T on one surface,
+    with the moment blocks built afresh."""
     tau, w = 0.13 + 1.2j, 0.27 * 2.0 * np.pi * np.exp(0.6j)
     ang = 2.0 * np.pi * np.arange(256) / 256
     x = (w + 0.4 * np.exp(1j * ang))[:, None]
@@ -200,7 +202,8 @@ def _series_values():
         return [
             theta_char_g1_diff(0.15, 0.25, x, y, tau),
             dedekind_eta(tau),
-            *(eisenstein_hat(k, tau) for k in (8, 40, 432)),
+            *(eisenstein(k, tau) for k in (8, 40)),
+            build_R(16, sew),
             build_T(16, sew, tw, 256),
         ]
     finally:
@@ -221,8 +224,10 @@ def _largest_move(monkeypatch, factor):
 def test_tail_bound_loses_nothing(monkeypatch):
     # ranges of twice the reach in log size move nothing beyond round-off
     assert _largest_move(monkeypatch, 2.0) <= 1e-15
-    # and the check is sharp: ranges cut to half the reach move Ehat_40 by 1.6e-12
-    assert _largest_move(monkeypatch, 0.5) > 1e-13
+    # and the check is sharp: the theta reach keeps one term beyond the
+    # bound, so only ranges cut to a twentieth of the reach show, moving
+    # the theta grid by 3.6e-14 and T by 2.4e-14
+    assert _largest_move(monkeypatch, 0.05) > 1e-14
 
 
 def test_theta_grid_is_selected_by_shape_only():
@@ -259,33 +264,68 @@ def _ehat_mp(k, tau):
     return (2 * mp.pi) ** k * total, (2 * mp.pi) ** k * size
 
 
-@pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.2 + 0.6j])
-@pytest.mark.parametrize("k", [2, 4, 30, 100, 200, 400])
+def _taylor_roundoff(n, R):
+    """16 times the round-off eps * n * 2^(64n/M) / R^n of n * a_n, order n
+    of a function read by elliptic._log_theta1_taylor on the circle of
+    radius 2^(-64/M) * R, M points: the DFT carries about eps of the
+    largest value, and dividing bin n by the radius^n scales it up by
+    2^(64n/M)/R^n."""
+    M, _ = elliptic._taylor_circle(8 * n, elliptic._TAYLOR_M_LOG_THETA1, R)
+    return 16.0 * EPS * np.exp(math.log(n) + 64.0 * n / M * math.log(2.0) - n * math.log(R))
+
+
+def _ehat(k, tau):
+    """(2*pi)^k * eisenstein(k, tau), scaled in two halves: (2*pi)^400
+    alone overflows a double."""
+    half = (2.0 * np.pi) ** (k / 2)
+    return eisenstein(k, tau) * half * half
+
+
+@pytest.mark.parametrize(
+    "k, tau",
+    [(k, tau) for tau in (0.3 + 1.1j, -0.2 + 0.6j) for k in (2, 4, 30, 100, 200, 400)
+     if (k, tau) != (400, 0.3 + 1.1j)],
+)
 def test_eisenstein_hat_against_mpmath(k, tau):
-    # each term is formed as exp(log), which costs about eps * k * log(2*pi*d*k)
-    # relative to the term: the tolerance is 1e-14 * k times the sum of the
-    # term moduli.  At Im(tau) = 1.1 that sum is |Ehat_k| itself; at
-    # tau = -0.2 + 0.6i the terms cancel and it exceeds |Ehat_400| by 1e10.
-    table = eisenstein_hat(k, tau)
+    # Ehat_k = (2*pi)^k * E_k with a tolerance of 1e-14 * k times the sum
+    # of the moduli of the q-series terms.  At Im(tau) = 1.1 that sum is
+    # |Ehat_k| itself; at tau = -0.2 + 0.6i the terms cancel and it exceeds
+    # |Ehat_400| by 1e9.  E_400 at tau = 0.3 + 1.1i, where D(q) = 2*pi, is
+    # 2e-319, below the normal range of a double, so it is not read here.
     ref, size = _ehat_mp(k, tau)
-    assert np.isfinite(table[k])
-    assert abs(table[k] - complex(ref)) < 1e-14 * k * float(size)
+    ehat = _ehat(k, tau)
+    assert np.isfinite(ehat)
+    assert abs(ehat - complex(ref)) < 1e-14 * k * float(size)
 
 
 @pytest.mark.parametrize("k", [2, 4, 100, 200, 400])
 def test_eisenstein_hat_off_the_fundamental_domain(k):
-    # summed at tau reduced to the fundamental domain, Ehat_k carries its
-    # digits relative to |Ehat_k| itself where the series at tau cancels;
-    # E_2, which is only quasi-modular, is summed at tau itself
+    # read on a circle, Ehat_k carries its digits relative to |Ehat_k|
+    # itself where the q-series at tau cancels
     tau = -0.2 + 0.6j
     ref, _ = _ehat_mp(k, tau)
-    assert abs(eisenstein_hat(k, tau)[k] - complex(ref)) <= 1e-12 * abs(complex(ref))
+    ehat = _ehat(k, tau)
+    assert abs(ehat - complex(ref)) <= 1e-12 * abs(complex(ref))
 
 
 def test_eisenstein_hat_odd_and_low_orders_vanish():
-    table = eisenstein_hat(9, 0.3 + 1.1j)
-    assert table.shape == (10,)
-    assert np.all(table[[0, 1, 3, 5, 7, 9]] == 0.0)
+    # E_k vanishes at odd k, and there is no E_0 or E_1
+    assert all(eisenstein(k, 0.3 + 1.1j) == 0.0 for k in (3, 5, 7, 9))
+    for k in (0, 1):
+        with pytest.raises(ValueError):
+            eisenstein(k, 0.3 + 1.1j)
+
+
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.2 + 0.6j, 0.45 + 0.9j, 10.0 + 0.5j])
+@pytest.mark.parametrize("k", [2, 4, 6, 12, 30, 64, 100, 128])
+def test_eisenstein_against_mpmath(k, tau):
+    # E_k = -k * [s^k] log(theta1(s)/s) on the circle inside |s| < D(q),
+    # within the round-off of that reading (see _taylor_roundoff); the
+    # errors are at most 0.11 of it.  At 0.45 + 0.9i the q-series cancels by
+    # 1e6 at k = 128; at 10 + 0.5i, D(q) = pi.
+    ref, _ = _ehat_mp(k, tau)
+    ref = complex(ref / (2 * mp.pi) ** k)
+    assert abs(eisenstein(k, tau) - ref) <= _taylor_roundoff(k, lattice_min_distance(tau))
 
 
 def _P2_mp(z, tau):
@@ -306,15 +346,62 @@ def _P2_mp(z, tau):
     ],
 )
 def test_weierstrass_P2_against_mpmath(z, tau):
-    # the Laurent series stops at relative size rel_tol = 1e-12
+    # P_2 = -2 * [s^2] log theta1(z + s), read on a circle inside the
+    # zero-free disk |s| < dist(z, Lambda)
     ref = complex(_P2_mp(z, tau))
     assert abs(weierstrass_P(2, z, tau) / ref - 1.0) < 1e-11
 
 
+def _P_lattice_mp(m, w, tau):
+    """P_m(w) = sum_lam (w - lam)^(-m), m >= 3, at 30 digits, summed row by
+    row over lam = 2*pi*i*(j*tau + n): each row is exact as
+    (2*pi*i)^(-m) * sum_n (x - n)^(-m) = zeta(m, x) + (-1)^m zeta(m, 1 - x),
+    x = w/(2*pi*i) - j*tau, with the Hurwitz zeta function; the rows
+    |j| = 0, 1, ... are added until, past the peak of the row sizes
+    (2*pi*j*Im(tau) > m), a pair is below 1e-25 of the total."""
+    tau, x0 = _mpc(tau), _mpc(w) / (2j * mp.pi)
+    total, j = mp.mpc(0), 0
+    while True:
+        row = mp.fsum(
+            mp.zeta(m, x0 - i * tau) + (-1) ** m * mp.zeta(m, 1 - x0 + i * tau)
+            for i in {j, -j}
+        )
+        total += row
+        if 2 * mp.pi * j * mp.im(tau) > m and abs(row) < mp.mpf(10) ** -25 * abs(total):
+            return total / (2j * mp.pi) ** m
+        j += 1
+
+
+# the regression surface of test_z2_heisenberg_far_from_the_lattice: D(q) =
+# 2*pi, and w = -4.1 + 2.6i lies at 0.72 * D(q) from the lattice
+REG_TAU, REG_W = 0.13 + 1.31j, -4.1 + 2.6j
+
+
+@pytest.mark.parametrize("w", [REG_W, 0.3 * 2.0 * np.pi * np.exp(0.7j)], ids=["0.72D", "0.3D"])
+@pytest.mark.parametrize("m", [3, 8, 20, 34, 48, 64])
+def test_weierstrass_P_against_lattice_sum(m, w):
+    # P_m = (-1)^(m+1) * m * [s^m] log theta1(w + s) within the round-off
+    # of its reading (see _taylor_roundoff); the errors are at most 0.10 of
+    # it.  At 0.72 * D(q) a Laurent series in E_k needs several hundred
+    # terms, and one cut at 200 puts P_34 0.34 off.
+    ref = complex(_P_lattice_mp(m, w, REG_TAU))
+    lam, _, _ = nearest_lattice_point(w, REG_TAU)
+    assert abs(weierstrass_P(m, w, REG_TAU) - ref) <= _taylor_roundoff(m, abs(w - lam))
+
+
+def test_z2_heisenberg_converges_in_N():
+    # R reads P_m(w) up to m = 2N at 0.72 * D(q), where a Laurent series in
+    # E_k needs several hundred terms.  The orders N = 16 leaves out weigh
+    # in below |rho|^8.5, so N = 16 and 32 agree to round-off
+    sew = SewingConfig(REG_TAU, REG_W, 1e-4)
+    z16, z32 = z2_heisenberg(sew, N=16), z2_heisenberg(sew, N=32)
+    assert abs(z16 - z32) <= 16.0 * EPS * abs(z32)
+
+
 def test_z2_heisenberg_far_from_the_lattice():
-    # w at 0.72 * D(q) from the lattice: the Laurent series of P_30 runs past
-    # order 385, where (2*pi)^k alone overflows a double
-    sew = SewingConfig(0.13 + 1.31j, -4.1 + 2.6j, 1e-4)
+    # w at 0.72 * D(q) from the lattice, near the edge of the zero-free
+    # disk of theta1(w + s) on which the P_m are read
+    sew = SewingConfig(REG_TAU, REG_W, 1e-4)
     zh = z2_heisenberg(sew, N=16)
     lead = 1.0 - sew.rho * complex(_P2_mp(sew.w, sew.tau))
     assert abs(zh * dedekind_eta(sew.tau) - lead) < 4.0 * abs(sew.rho) ** 2

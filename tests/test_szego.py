@@ -228,11 +228,13 @@ def test_T_does_not_depend_on_the_contour_radii(tw):
     # before, the blocks were double contour integrals over the circles r1,
     # r2: from r1 = r2 = 0.55 * min(dist(w, Lambda), D(q)) on they enclosed
     # a pole of the core, and det(I - T) drifted from 1.06808-0.05382i at
-    # 0.3 and 0.45 to 1.05318-0.04684i at 0.55 and 1.02995-0.02468i at 0.999
+    # 0.3 and 0.45 to 1.05318-0.04684i at 0.55 and 1.02995-0.02468i at 0.999;
+    # the radii stay out of the surface key, so all five share one surface
     lam, _, _ = nearest_lattice_point(W, TAU)
     R = min(abs(W - lam), lattice_min_distance(TAU))
     expect = 1.0680762870843836 - 0.0538240343932374j
     ref = None
+    szego._moment_block_cached.cache_clear()
     for f in (0.3, 0.45, 0.55, 0.7, 0.999):
         sew = SewingConfig(TAU, W, 1e-3, r1=f * R, r2=f * R)
         T = build_T(12, sew, tw, quad_M=128)
@@ -241,6 +243,7 @@ def test_T_does_not_depend_on_the_contour_radii(tw):
         ref = blocks if ref is None else ref
         for C, C0 in zip(blocks, ref):
             assert np.max(np.abs(C - C0)) <= 1e-14 * np.max(np.abs(C0))
+    assert szego._moment_block_cached.cache_info().misses == 1
 
 
 def test_moment_block_immutable(sew, tw):
