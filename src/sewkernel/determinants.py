@@ -1,16 +1,16 @@
-"""Determinant evaluations for the sewing formalism: det(I - T) by trace-log
-series or pivoted LU, the bosonic moment matrix R, whose E_k and P_m are
-Taylor coefficients of log theta1 read on one circle, with det(I - R)^(-1/2)
-on the branch continued from rho = 0, read off the same trace-log series,
-and finite minor expansions used as oracles."""
+"""Determinant evaluations for the sewing formalism: det(I - T) by pivoted LU
+(the default) or trace-log series, the bosonic moment matrix R, whose E_k
+and P_m are Taylor coefficients of log theta1 read on one circle, with
+det(I - R)^(-1/2) on the branch continued from rho = 0, read off the same
+trace-log series, and finite minor expansions used as oracles."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
-from scipy.special import gammaln
 
 from .elliptic import (
     _log_theta1_taylor,
@@ -36,12 +36,14 @@ TRACE_MAX_TERMS = 200
 TRACE_REL_TOL = 1e-14
 
 
-def det_I_minus(M, method="trace_log"):
+def det_I_minus(M, method="lu"):
     """det(I - M) for a square complex matrix M.
 
+    method = "lu" (the default) uses a pivoted LU factorisation, which needs
+    no condition on M: det(I - M) is single-valued, so no branch enters.
     method = "trace_log" uses log det(I - M) = -sum_n tr(M^n)/n, valid for
-    spectral radius < 1 (checked); method = "lu" uses a pivoted LU
-    factorisation.  Returns a DetResult.
+    spectral radius < 1 (checked, ValueError otherwise); it is the
+    independent second method of the cross checks.  Returns a DetResult.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -83,8 +85,13 @@ def _trace_log(M):
 
 
 def _moment_factor(k, l):
-    """(-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!) as the exponential of its log."""
-    return (-1.0) ** (k + 1) * np.exp(gammaln(k + l) - gammaln(k) - gammaln(l))
+    """(-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!) = (-1)^(k+1) l C(k+l-1, l) for
+    integers k, l >= 1, or broadcastable integer arrays of them: each entry
+    is exact in Python integers and rounded once to float."""
+    k, l = np.broadcast_arrays(k, l)
+    pairs = zip(k.ravel().tolist(), l.ravel().tolist())
+    fac = [(-1) ** (a + 1) * b * comb(a + b - 1, b) for a, b in pairs]
+    return np.reshape(np.array(fac, dtype=float), k.shape)
 
 
 def moment_C_boson(k, l, tau):

@@ -30,8 +30,7 @@ double-precision round-off relative to the largest term kept:
 No caller sets a range or a tolerance: the tail bounds alone fix them.
 On a product grid, theta[alpha; beta](x_i - y_j) for a column x and a row
 y, the lattice sum separates into one matrix product (see
-theta_char_g1_diff), whose terms far below round-off of every entry are
-dropped before the product.
+theta_char_g1_diff).
 
 Taylor coefficients are read on circles by one FFT (see _taylor_circle and
 _taylor): on a circle of M points inside the disk of analyticity, the
@@ -88,24 +87,6 @@ def _reduced_basis(tau):
 _CELL_STEPS = np.array([(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)], dtype=float).T
 
 
-def _lattice_coords(z, tau):
-    """Coordinates (e1, e2) of s = z/(2*pi*i) = e1*u + e2*v in the reduced
-    basis (u, v) of Z + Z*tau (see _reduced_basis), vectorised over z;
-    returns (e1, e2, u, v, (n1, m1), (n2, m2))."""
-    (n1, m1), (n2, m2) = _reduced_basis(tau)
-    u, v = n1 + m1 * tau, n2 + m2 * tau
-    s = np.asarray(z, dtype=complex) / TWO_PI_I
-    e1 = (np.conj(v) * s).imag / (np.conj(v) * u).imag
-    e2 = (np.conj(u) * s).imag / (np.conj(u) * v).imag
-    return e1, e2, u, v, (n1, m1), (n2, m2)
-
-
-def _gram_dist2(g1, g2, u, v):
-    """|g1*u + g2*v|^2 from the Gram matrix of (u, v)."""
-    uv = (u * np.conj(v)).real
-    return abs(u) ** 2 * g1**2 + 2.0 * uv * g1 * g2 + abs(v) ** 2 * g2**2
-
-
 def nearest_lattice_point(z, tau):
     """Nearest point of Lambda = 2*pi*i*(Z*tau + Z) to z (vectorised).
 
@@ -114,12 +95,18 @@ def nearest_lattice_point(z, tau):
     neighbouring points are compared, which finds the nearest point for any
     tau in the upper half plane.
     """
-    e1, e2, u, v, (n1, m1), (n2, m2) = _lattice_coords(z, tau)
+    (n1, m1), (n2, m2) = _reduced_basis(tau)
+    u, v = n1 + m1 * tau, n2 + m2 * tau
+    s = np.asarray(z, dtype=complex) / TWO_PI_I  # s = e1*u + e2*v
+    e1 = (np.conj(v) * s).imag / (np.conj(v) * u).imag
+    e2 = (np.conj(u) * s).imag / (np.conj(u) * v).imag
     c1, c2 = np.rint(e1), np.rint(e2)
-    # squared distance to each neighbour, |g1*u + g2*v|^2
+    # squared distance to each neighbour, |g1*u + g2*v|^2, from the Gram matrix
     g1 = (e1 - c1)[..., None] - _CELL_STEPS[0]
     g2 = (e2 - c2)[..., None] - _CELL_STEPS[1]
-    j = np.argmin(_gram_dist2(g1, g2, u, v), axis=-1)
+    uv = (u * np.conj(v)).real
+    dist2 = abs(u) ** 2 * g1**2 + 2.0 * uv * g1 * g2 + abs(v) ** 2 * g2**2
+    j = np.argmin(dist2, axis=-1)
     c1 = c1 + _CELL_STEPS[0][j]
     c2 = c2 + _CELL_STEPS[1][j]
     m = c1 * m1 + c2 * m2
@@ -138,65 +125,6 @@ def _check_off_lattice(z, tau, what):
     lam, _, _ = nearest_lattice_point(z, tau)
     if np.any(np.abs(z - lam) < 1e-12 * lattice_min_distance(tau)):
         raise ValueError(f"{what} evaluated at (numerically) a lattice point")
-
-
-def _clear_of_lattice(p, q, tau, tol):
-    """Mask of the points p_i for which no difference p_i - q_j lies within
-    tol of the lattice, certified from the annulus r_lo <= |t - c| <= r_hi
-    that holds every q_j around the centroid c of q; None where the bound
-    would visit more lattice points per p_i than the check of every pair,
-    which visits nine per pair.
-
-    p_i - q_j - lam = (p_i - c - lam) - (q_j - c) is at least the distance
-    from p_i - c - lam to that annulus, so only the lattice points within
-    r_hi + tol of p_i - c matter.  In a reduced basis (u, v),
-    |g1*u + g2*v|^2 >= (g1^2 |u|^2 + g2^2 |v|^2)/2, so their coordinates
-    differ from those of p_i - c by at most sqrt(2)*(r_hi + tol)/|u| and
-    /|v|: a fixed window of integer steps around the rounded coordinates
-    holds them all.
-    """
-    c = q.mean()
-    dq = np.abs(q - c)
-    r_lo, r_hi = dq.min(), dq.max()
-    e1, e2, u, v, _, _ = _lattice_coords(p - c, tau)
-    reach = np.sqrt(2.0) * (r_hi + tol) / (2.0 * np.pi)
-    h1, h2 = (ceil(reach / abs(e) + 0.5) for e in (u, v))
-    if (2 * h1 + 1) * (2 * h2 + 1) > _CELL_STEPS.shape[1] * q.size:
-        return None
-    d1, d2 = (a.ravel() for a in np.meshgrid(np.arange(-h1, h1 + 1), np.arange(-h2, h2 + 1)))
-    g1 = (e1 - np.rint(e1))[:, None] - d1
-    g2 = (e2 - np.rint(e2))[:, None] - d2
-    dist = 2.0 * np.pi * np.sqrt(np.maximum(_gram_dist2(g1, g2, u, v), 0.0))
-    return np.all(np.maximum(dist - r_hi, r_lo - dist) > tol, axis=1)
-
-
-def _check_off_lattice_grid(x, y, tau, what):
-    """The check of _check_off_lattice on every pair x_i - y_j of a column
-    x (M, 1) and a row y (1, K), decided in O(M + K) lattice work where the
-    geometry allows.
-
-    The points of one side are certified against the annulus around the
-    centroid of the other (see _clear_of_lattice), with the thinner of the
-    two annuli; for a contour that annulus is its circle.  tol exceeds the
-    per-pair threshold 1e-12*D by a round-off margin, so a certified point
-    cannot fail that check.  The pairs of the points left uncertified go
-    through _check_off_lattice, which therefore raises on exactly the grids
-    on which the per-pair check of the whole grid raises.
-    """
-    x = np.asarray(x, dtype=complex)[:, 0]
-    y = np.asarray(y, dtype=complex)[0]
-    if not (x.size and y.size):
-        return
-    D = lattice_min_distance(tau)
-    tol = 1e-12 * D + 1e-13 * (D + np.abs(x).max() + np.abs(y).max())
-    # lam is on the lattice iff -lam is, so y_j - x_i may stand for x_i - y_j
-    swap = np.ptp(np.abs(y - y.mean())) > np.ptp(np.abs(x - x.mean()))
-    clear = _clear_of_lattice(y, x, tau, tol) if swap else _clear_of_lattice(x, y, tau, tol)
-    if clear is not None and clear.all():
-        return
-    rest = slice(None) if clear is None else ~clear
-    rows, cols = (slice(None), rest) if swap else (rest, slice(None))
-    _check_off_lattice(x[rows, None] - y[None, cols], tau, what)
 
 
 def _theta_range(alpha, re_zz, tau):
@@ -246,17 +174,6 @@ def _theta_grid_factors(alpha, beta, x, y, tau):
     """Factors (left, right) of the product grid theta[alpha; beta](x - y)
     for a column x (M, 1) and a row y (1, K): left is M x n, right n x K and
     the grid is left @ right (see theta_char_g1_diff).
-
-    A left factor left_in is zeroed where even its largest product with a
-    right factor, |left_in| * max_j |right_nj|, is below 2^-106 of
-    max_n |left_in| * min_j |right_nj|, a size that every entry of row i
-    reaches in at least one term.  Each entry then loses only terms 2^106
-    times smaller than one it keeps, which cannot move it beyond round-off,
-    and the matrix product makes none of the subnormal partial products
-    that slow it down several times over.  A flush against the largest
-    term of the whole row would not be safe: where the real parts of y
-    spread widely, the entries of one row differ by many orders of
-    magnitude.
     """
     _check_tau(tau)
     xx = np.asarray(x, dtype=complex)[:, 0] + TWO_PI_I * beta
@@ -267,10 +184,6 @@ def _theta_grid_factors(alpha, beta, x, y, tau):
     nu = _theta_range(alpha, np.array([lo, hi]), tau)
     left = np.exp(1j * np.pi * nu**2 * tau + np.multiply.outer(xx, nu))
     right = np.exp(-np.multiply.outer(nu, yy))
-    mag = np.abs(right)
-    size = np.abs(left)
-    sure = np.max(size * mag.min(axis=1, initial=np.inf), axis=1, keepdims=True)
-    left[size * mag.max(axis=1, initial=0.0) < 2.0**-106 * sure] = 0.0
     return left, right
 
 
@@ -283,8 +196,7 @@ def theta_char_g1_diff(alpha, beta, x, y, tau):
             = sum_n e^(i*pi*nu^2*tau + nu*(x_i + 2*pi*i*beta)) * e^(-nu*y_j),
 
     nu = n + alpha over the tail-bound range of every pair, and the M x K
-    grid is one (M x n)(n x K) matrix product of _theta_grid_factors, which
-    drops the terms far below round-off of every entry beforehand.  Any
+    grid is one (M x n)(n x K) matrix product of _theta_grid_factors.  Any
     other shapes are evaluated pointwise by theta_char_g1.
     """
     if not _is_grid(x, y):
@@ -396,13 +308,24 @@ def eisenstein(k, tau):
     P_2 = -d^2/dz^2 log K, log K(z) = log z - sum_{k>=2} E_k z^k / k, and
     E_k = -k * [s^k] log(theta1(s)/s) is read on a circle inside the
     zero-free disk |s| < D(q) (see _log_theta1_taylor).
+
+    E_k is of the size of D(q)^(-k), the term of the shortest lattice
+    vectors.  Where that lies below the normal range of a double
+    (k * log D(q) > 708.4, i.e. k > 385 at D(q) = 2*pi) the value would
+    be a subnormal with few digits, so ValueError is raised instead.
     """
     _check_tau(tau)
     if k < 2:
         raise ValueError("eisenstein requires k >= 2")
     if k % 2 == 1:
         return 0.0j
-    a = _log_theta1_taylor(k, [0.0], lattice_min_distance(tau), tau)
+    D = lattice_min_distance(tau)
+    if k * log(D) > -log(np.finfo(float).tiny):
+        raise ValueError(
+            f"eisenstein: E_{k} is of the size of D(q)^-{k} = exp({-k * log(D):.1f}), "
+            "below the normal range of a double"
+        )
+    a = _log_theta1_taylor(k, [0.0], D, tau)
     return complex(-k * a[k, 0])
 
 

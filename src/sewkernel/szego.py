@@ -41,7 +41,7 @@ from math import comb
 import numpy as np
 
 from .elliptic import (
-    _check_off_lattice_grid,
+    _check_off_lattice,
     _is_grid,
     _taylor,
     _taylor_circle,
@@ -284,9 +284,9 @@ def theta_ratio_core(x, y, sew, tw, wx=None, wy=None):
     theta1(x-y).  That constant and the weights are folded into the row and
     column factors of the numerator's matrix product (see
     elliptic._theta_grid_factors), so the grid is one matrix product divided
-    by the theta1 grid.  Every grid goes through the lattice guard
-    elliptic._check_off_lattice_grid, which raises on exactly the grids on
-    which prime_form_K of some x_i - y_j raises.
+    by the theta1 grid.  Every pair x_i - y_j of a grid goes through the
+    lattice check of prime_form_K, so a grid raises where prime_form_K of
+    some x_i - y_j raises.
     """
     tau, c = sew.tau, tw.kappa * sew.w
     den0 = theta_char_g1(tw.alpha1, tw.beta1, c, tau)
@@ -295,7 +295,7 @@ def theta_ratio_core(x, y, sew, tw, wx=None, wy=None):
     if not _is_grid(x, y):
         num = theta_char_g1(tw.alpha1, tw.beta1, np.asarray(x) + c - np.asarray(y), tau)
         return wx * wy * (num / (den0 * prime_form_K(np.asarray(x) - np.asarray(y), tau)))
-    _check_off_lattice_grid(x, y, tau, "prime_form_K")
+    _check_off_lattice(np.asarray(x) - np.asarray(y), tau, "prime_form_K")
     left, right = _theta_grid_factors(tw.alpha1, tw.beta1, np.asarray(x) + c, y, tau)
     left *= np.reshape(theta1_prime0(tau) / den0 * wx, (-1, 1))
     right *= np.reshape(wy, (1, -1))
@@ -560,9 +560,8 @@ def half_diff(a, points, N, sew, tw, quad_M=256, bar=False):
     the kernel pole; the points that share a radius are evaluated as one
     product grid and one FFT along the contour.  The full-radius circle
     comes from the surface cache (see _Surface), a smaller one is built on
-    the spot.  The lattice guard of each grid is
-    decided from the distance of the points to the lattice translates of
-    the circle (see elliptic._check_off_lattice_grid).
+    the spot.  Each grid checks every pair against the lattice (see
+    theta_ratio_core).
 
     `points` is a scalar (returns a length-N vector) or a 1-d array (returns
     an array of shape (len(points), N)).

@@ -1,5 +1,5 @@
-"""The lattice guard of product grids: the geometric certificate of
-_check_off_lattice_grid against the check of every pair, on contour-shaped and
+"""The lattice guard of product grids: the grid path of the kernel quotient
+szego.theta_ratio_core against the check of every pair, on contour-shaped and
 scattered grids, with tau far from the fundamental domain, and the values of
 T against a per-pair evaluation of the moment grids."""
 
@@ -8,13 +8,7 @@ import pytest
 
 from sewkernel import SewingConfig, TwistConfig, lattice_min_distance, nearest_lattice_point
 from sewkernel import szego
-from sewkernel.elliptic import (
-    _check_off_lattice,
-    _check_off_lattice_grid,
-    _clear_of_lattice,
-    prime_form_K,
-    theta_char_g1,
-)
+from sewkernel.elliptic import _check_off_lattice, prime_form_K, theta_char_g1
 
 TWO_PI_I = 2j * np.pi
 TAUS = [0.3 + 1.1j, 11.7 + 0.8j, -9.4 + 0.35j, -0.2 + 0.6j]
@@ -38,8 +32,10 @@ def _brute(x, y, tau):
 
 
 def _guard(x, y, tau):
-    """True where the guard of the product grid raises."""
-    return _raises(_check_off_lattice_grid, x[:, None], y[None, :], tau, "K")
+    """True where the grid path of the kernel quotient raises."""
+    sew = SewingConfig(tau, TWO_PI_I * (0.5 * tau + 0.3), 1e-8)
+    tw = TwistConfig(0.1, 0.2, 0.3, 0.2)
+    return _raises(szego.theta_ratio_core, x[:, None], y[None, :], sew, tw)
 
 
 def _grids(tau, rng):
@@ -67,14 +63,9 @@ def test_planted_lattice_pair_raises(tau, shape, planted, rng):
         y[7] = x[3] - lam
     else:
         x[3] = y[7] + lam
-    # both orientations of the grid, through the guard and through the grid
-    # path of the kernel quotient
-    sew = SewingConfig(tau, TWO_PI_I * (0.5 * tau + 0.3), 1e-8)
-    tw = TwistConfig(0.1, 0.2, 0.3, 0.2)
+    # both orientations of the grid
     for col, row in ((x, y), (y, x)):
         assert _brute(col, row, tau) and _guard(col, row, tau)
-        with pytest.raises(ValueError):
-            szego.theta_ratio_core(col[:, None], row[None, :], sew, tw)
 
 
 @pytest.mark.parametrize("tau", TAUS)
@@ -82,59 +73,6 @@ def test_clean_grids_pass_and_are_certified(tau, rng):
     contour, scattered = _grids(tau, rng)
     for x, y in (contour, scattered):
         assert not _guard(x, y, tau) and not _brute(x, y, tau)
-    # a contour against a contour is decided by the bound alone, also a
-    # circle inside the hole of a concentric one (a same-side block)
-    x, y = contour
-    D = lattice_min_distance(tau)
-    assert _clear_of_lattice(x, y, tau, 2e-12 * D).all()
-    assert _clear_of_lattice(y, _circle(0.0, np.abs(y).max() / 0.8), tau, 2e-12 * D).all()
-
-
-def _surface_grids(sew, rng, M=64):
-    """The four moment grids of a surface (M points a contour) and scattered
-    points against its full-radius contours, as (x, y) pairs of 1-d
-    arrays."""
-    grids = []
-    for a in (1, 2):
-        for bidx in (1, 2):
-            xside, yside = 3 - a, bidx
-            rx = sew.r1 if xside == 1 else sew.r2
-            ry = 0.8 * rx if xside == yside else (sew.r1 if yside == 1 else sew.r2)
-            grids.append((_circle(szego.puncture_center(xside, sew), rx, M),
-                          _circle(szego.puncture_center(yside, sew), ry, M)))
-    pts = TWO_PI_I * (rng.uniform(0, 1, 9) * sew.tau + rng.uniform(0, 1, 9))
-    for side, r in ((1, sew.r1), (2, sew.r2)):
-        c = _circle(szego.puncture_center(side, sew), r, M)
-        grids += [(pts, c), (c, pts)]
-    return grids
-
-
-def test_certificate_agrees_with_every_pair_on_random_surfaces(rng):
-    decided = 0
-    for i in range(50):
-        tau = complex(rng.uniform(-12, 12), rng.uniform(0.3, 2.0))
-        w = TWO_PI_I * (rng.uniform(0.1, 0.9) * tau + rng.uniform(0.1, 0.9))
-        D = lattice_min_distance(tau)
-        dw = abs(w - nearest_lattice_point(w, tau)[0])
-        # every third surface takes user radii just under min(dist(w), D)
-        radii = {} if i % 3 else {"r1": 0.999 * min(dw, D), "r2": 0.998 * min(dw, D)}
-        sew = SewingConfig(tau, w, 1e-6, **radii)
-        tol = 1e-12 * D
-        for j, (x, y) in enumerate(_surface_grids(sew, rng)):
-            if (i + j) % 7 == 0:  # plant one pair on the lattice
-                x = x.copy()
-                x[5] = y[2] + TWO_PI_I * (rng.integers(-3, 4) * tau + rng.integers(-3, 4))
-            assert _guard(x, y, tau) == _brute(x, y, tau)
-            for p, q in ((x, y), (y, x)):
-                clear = _clear_of_lattice(p, q, tau, 2.0 * tol)
-                if clear is None:
-                    continue
-                decided += clear.size
-                # a certified point has no pair within tol of the lattice
-                z = p[clear, None] - q[None, :]
-                lam, _, _ = nearest_lattice_point(z, tau)
-                assert np.all(np.abs(z - lam) >= tol)
-    assert decided > 0
 
 
 @pytest.mark.parametrize("tau, w", [(0.3 + 1.1j, 0.5 + 2.2j), (-7.6 + 0.9j, 1.3 + 4.1j)])

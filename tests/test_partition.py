@@ -8,6 +8,8 @@ from sewkernel import (
     FockLabel,
     SewingConfig,
     TwistConfig,
+    build_T,
+    det_I_minus,
     enumerate_fock_labels,
     fock_2pt,
     fock_2pt_fourier,
@@ -16,6 +18,8 @@ from sewkernel import (
     gen1_form,
     gen1_form_product,
     gen2_form,
+    lattice_min_distance,
+    nearest_lattice_point,
     s2_eval,
     triple_product_residual,
     z1_alpha_npoint,
@@ -209,6 +213,28 @@ def test_z2_fermionic_det_method_agreement(sew, tw):
     a = z2_fermionic(sew, tw, N=12, quad_M=128, method="trace_log")
     b = z2_fermionic(sew, tw, N=12, quad_M=128, method="lu")
     assert abs(a / b - 1.0) < 1e-12
+
+
+def test_z2_fermionic_beyond_unit_spectral_radius():
+    # in-domain points where the spectral radius of T is 1 or more: the
+    # trace-log series raises there, the default LU converges in N
+    rng = np.random.default_rng(2024)
+    R = min(lattice_min_distance(TAU), abs(W - nearest_lattice_point(W, TAU)[0]))
+    checked = 0
+    for _ in range(60):
+        rho = rng.uniform(0.01, 0.05) * R**2 * np.exp(TWO_PI_I * rng.uniform())
+        tw = TwistConfig(*rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.49, 0.49))
+        sew = SewingConfig(TAU, W, rho)
+        T = build_T(16, sew, tw)
+        if np.abs(np.linalg.eigvals(T)).max() < 1.0:
+            continue
+        with pytest.raises(ValueError, match="spectral radius"):
+            det_I_minus(T, method="trace_log")
+        a, b = z2_fermionic(sew, tw, N=16), z2_fermionic(sew, tw, N=32)
+        assert np.isfinite(a) and np.isfinite(b)
+        assert abs(a / b - 1.0) <= 1e-10
+        checked += 1
+    assert checked >= 3
 
 
 def test_z2_heisenberg_small_rho_is_eta_inverse():

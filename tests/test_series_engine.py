@@ -109,18 +109,19 @@ WIDE_CASES = [
     # eighth column is checked
     (np.array([8.0 + 0.3j, -8.1 + 0.4j, 7.9 - 0.6j]), 0.5 * np.exp(2j * np.pi * np.arange(256) / 256), 8),
     # three near points against a row whose real parts span [-8, 8]: the
-    # largest terms of the entries of one row differ by a factor 1e59, so a
-    # flush against the largest term of the row would wipe out the small
-    # entries
+    # largest terms of the entries of one row differ by a factor 1e59, so
+    # the small entries come out right only if no term of theirs is dropped
+    # against the largest term of the row
     (np.array([0.1 + 0.2j, 0.3 - 0.1j, -0.2 + 0.5j]), np.linspace(-8.0, 8.0, 64) + 0.2j, 3),
 ]
 
 
 @pytest.mark.parametrize("x, y, step", WIDE_CASES)
 def test_wide_theta_grid_matches_mpmath(x, y, step):
-    # the tail-bound range and the flush of _theta_grid_factors drop nothing
-    # a 30-digit sum sees; the error is taken relative to sum_n |term_n|,
-    # since near a zero of theta the terms cancel
+    # the tail-bound range of _theta_grid_factors drops nothing a 30-digit
+    # sum sees, also where the terms of one row span many orders of
+    # magnitude; the error is taken relative to sum_n |term_n|, since near a
+    # zero of theta the terms cancel
     alpha, beta, tau = -0.35, 0.2 - 0.15j, 0.21 + 0.05j
     grid = theta_char_g1_diff(alpha, beta, x[:, None], y[None, :], tau)
     for i in range(x.size):
@@ -291,11 +292,22 @@ def test_eisenstein_hat_against_mpmath(k, tau):
     # of the moduli of the q-series terms.  At Im(tau) = 1.1 that sum is
     # |Ehat_k| itself; at tau = -0.2 + 0.6i the terms cancel and it exceeds
     # |Ehat_400| by 1e9.  E_400 at tau = 0.3 + 1.1i, where D(q) = 2*pi, is
-    # 2e-319, below the normal range of a double, so it is not read here.
+    # 2e-319, below the normal range of a double, and raises (see
+    # test_eisenstein_below_the_double_range_raises).
     ref, size = _ehat_mp(k, tau)
     ehat = _ehat(k, tau)
     assert np.isfinite(ehat)
     assert abs(ehat - complex(ref)) < 1e-14 * k * float(size)
+
+
+def test_eisenstein_below_the_double_range_raises():
+    # |E_k| ~ 2 * D(q)^-k at tau = 0.3 + 1.1i, where D(q) = 2*pi: normal up
+    # to k = 384, below the smallest normal double from k = 386 on
+    tau = 0.3 + 1.1j
+    assert abs(eisenstein(384, tau)) >= np.finfo(float).tiny
+    for k in (386, 400):
+        with pytest.raises(ValueError, match="normal range"):
+            eisenstein(k, tau)
 
 
 @pytest.mark.parametrize("k", [2, 4, 100, 200, 400])
