@@ -10,7 +10,7 @@ All residuals should sit at quadrature accuracy.
 import argparse
 import sys
 
-from sewkernel import GroupElement, LiftedPoint, TwistConfig, invariance_residual
+from sewkernel import GroupElement, SewingConfig, TwistConfig, invariance_residual
 
 DEFAULT_WORDS = [
     "T",
@@ -37,7 +37,7 @@ def main(argv=None):
     ap.add_argument("words", nargs="*", default=DEFAULT_WORDS)
     args = ap.parse_args(argv)
 
-    p = LiftedPoint(args.tau, args.w, args.rho)
+    p = SewingConfig(args.tau, args.w, args.rho)
     tw = TwistConfig(0.2, 0.35, 0.1, args.kappa)
     print(f"{'word':<28} {'full residual':>14} {'det residual':>14}")
     worst = 0.0

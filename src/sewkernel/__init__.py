@@ -62,7 +62,6 @@ from .partition import (
 )
 from .modular import (
     GroupElement,
-    LiftedPoint,
     act_point,
     act_twist,
     chi_multiplier,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .determinants import det_I_minus, det_inv_sqrt_I_minus_R
 from .genus2 import domain_check, s2_eval, sewing_multiplier_residual
-from .modular import GroupElement, LiftedPoint, invariance_residual
+from .modular import GroupElement, invariance_residual
 from .partition import (
     fock_sum_oracle,
     frobenius_residual,
@@ -151,8 +151,7 @@ def _eval_target(target, params):
     elif target == "z1_twisted_2pt":
         value = z1_twisted_2pt(sew, tw)
     elif target == "det_I_minus_T":
-        method = params.get("method", "trace_log")
-        res = det_I_minus(build_T(N, sew, tw, quad_M), method=method)
+        res = det_I_minus(build_T(N, sew, tw, quad_M), method=params.get("method", "lu"))
         value = res.value
         meta["method"] = res.method
         meta["est_error"] = res.est_error
@@ -184,7 +183,13 @@ def _eval_target(target, params):
 # --------------------------------------------------------------- check targets
 
 
+_CHECK_TARGETS = ("frobenius", "triple_product", "sewing_multiplier", "invariance",
+                  "det_cross_method")
+
+
 def _check_target(target, params, tolerance):
+    if target not in _CHECK_TARGETS:
+        raise ConfigError(f"unknown check target {target!r}")
     trace = []
     if target == "frobenius":
         tau = _as_complex(params["tau"], "tau")
@@ -193,15 +198,12 @@ def _check_target(target, params, tolerance):
         residual = frobenius_residual(
             xs, ys, float(params.get("alpha1", 0.0)), float(params.get("beta1", 0.0)), tau
         )
-        branch = None
-    elif target == "triple_product":
-        sew, tw = _build_configs(params)
-        N, quad_M = _np_quad(params)
+        return residual, bool(residual < tolerance), trace, None
+    sew, tw = _build_configs(params)
+    N, quad_M = _np_quad(params)
+    if target == "triple_product":
         residual = triple_product_residual(sew, tw, N, quad_M)
-        branch = _branch_record(sew, tw)
     elif target == "sewing_multiplier":
-        sew, tw = _build_configs(params)
-        N, quad_M = _np_quad(params)
         residual, sign = sewing_multiplier_residual(
             _as_complex(params["x_loc"], "x_loc"),
             int(params.get("a", 1)),
@@ -212,35 +214,23 @@ def _check_target(target, params, tolerance):
             quad_M,
         )
         trace.append({"multiplier_exponent_sign": sign})
-        branch = _branch_record(sew, tw)
     elif target == "invariance":
-        sew, tw = _build_configs(params)
-        N, quad_M = _np_quad(params)
         try:
             g = GroupElement.from_string(params.get("generator", "T"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        p = LiftedPoint(sew.tau, sew.w, sew.rho, int(params.get("m", 0)), sew.log_rho)
         chi_scale = complex(float(params.get("chi_scale", 1.0)))
-        full, det_only = invariance_residual(
-            g, p, tw, N, quad_M, chi_scale=chi_scale
+        residual, det_only = invariance_residual(
+            g, sew, tw, N, quad_M, chi_scale=chi_scale
         )
-        residual = full
         trace.append({"det_residual": det_only, "chi_scale": float(chi_scale.real)})
-        branch = _branch_record(sew, tw)
-    elif target == "det_cross_method":
-        sew, tw = _build_configs(params)
-        N, quad_M = _np_quad(params)
+    else:  # det_cross_method
         T = build_T(N, sew, tw, quad_M)
         d1 = det_I_minus(T, method="trace_log").value
         d2 = det_I_minus(T, method="lu").value
         residual = abs(d1 / d2 - 1.0)
         trace.append({"trace_log": _c_out(d1), "lu": _c_out(d2)})
-        branch = _branch_record(sew, tw)
-    else:
-        raise ConfigError(f"unknown check target {target!r}")
-    passed = bool(residual < tolerance)
-    return residual, passed, trace, branch
+    return residual, bool(residual < tolerance), trace, _branch_record(sew, tw)
 
 
 # ---------------------------------------------------------------------- sweep
@@ -300,8 +290,7 @@ def _sweep(cfg):
     if len(points) > 10_000:
         raise ConfigError(f"sweep grid too large ({len(points)} > 10000 points)")
     tolerance = float(cfg.get("tolerance", np.inf))
-    is_check = target in ("frobenius", "triple_product", "sewing_multiplier",
-                          "invariance", "det_cross_method")
+    is_check = target in _CHECK_TARGETS
 
     def run_one(vals):
         local = params

@@ -10,17 +10,20 @@ together with the SL(2,Z) generators S, T embedded in Sp(4,Z) as
 
     gamma1(a1,b1,c1,d1) = [[a1,0,b1,0],[0,1,0,0],[c1,0,d1,0],[0,0,0,1]].
 
-They act on the sewing point (tau, w, rho), on the lifted logarithm
+They act on a SewingConfig, i.e. on the sewing point (tau, w, rho) with its
+carried branches log_rho, branch_n1 and branch_n2, and on the twist
+parameters (alpha1, beta1, beta2, kappa).  The lifted logarithm
 
-    lhat = log(-rho / K(w, tau)^2) + 2*pi*i*m
+    lhat = log_rho + [Log(1/K(w, tau)) + 2*pi*i*n2] - [Log(-K(w, tau)) + 2*pi*i*n1]
 
-(the integer winding m records the sheet), and on the twist parameters
-(alpha1, beta1, beta2, kappa).  The lifted partition function
+is log(-rho / K(w, tau)^2) on the sheet that the carried branches fix; the
+transport moves it by exactly the shift of each generator.  The lifted
+partition function
 
     Zhat = exp(2*pi*i*beta2*kappa) * exp(kappa^2/2 * lhat)
            * (1/eta) * theta[a1; b1](kappa*w, tau) * det(I - T)
 
-transforms with a character chi: Zhat(g.p, g.tw) = chi(g; tw) * Zhat(p, tw),
+transforms with a character chi: Zhat(g.sew, g.tw) = chi(g; tw) * Zhat(sew, tw),
 and det(I - T) is separately invariant; invariance_residual measures both.
 """
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from .elliptic import dedekind_eta, prime_form_K, theta_char_g1
 from .determinants import det_I_minus
-from .szego import SewingConfig, TwistConfig, build_T
+from .szego import SewingConfig, build_T
 
 TWO_PI_I = 2j * np.pi
 
@@ -97,38 +100,20 @@ class GroupElement:
         return M
 
 
-@dataclass(frozen=True)
-class LiftedPoint:
-    """Sewing point together with the winding integer m of lhat, the carried
-    branch of log(rho) and the carried anchor windings of the puncture
-    branch logs (see SewingConfig.branch_n1 / branch_n2)."""
+def _anchor_logs(sew, K):
+    """The carried anchor logs of the puncture branch factors at K = K(w):
+    log A_1 ~ Log(-K) + 2*pi*i*n1 and log A_2 ~ Log(1/K) + 2*pi*i*n2."""
+    return (
+        np.log(-K) + TWO_PI_I * sew.branch_n1,
+        np.log(1.0 / K) + TWO_PI_I * sew.branch_n2,
+    )
 
-    tau: complex
-    w: complex
-    rho: complex
-    m: int = 0
-    log_rho: complex = None
-    n1: int = 0
-    n2: int = 0
 
-    def __post_init__(self):
-        if self.log_rho is None:
-            object.__setattr__(self, "log_rho", complex(np.log(complex(self.rho))))
-
-    def lhat(self):
-        base = np.log(-self.rho / prime_form_K(self.w, self.tau) ** 2)
-        return complex(base + TWO_PI_I * self.m)
-
-    def sewing(self, **kw):
-        return SewingConfig(
-            self.tau,
-            self.w,
-            self.rho,
-            log_rho=self.log_rho,
-            branch_n1=self.n1,
-            branch_n2=self.n2,
-            **kw,
-        )
+def lhat(sew):
+    """The lifted logarithm log(-rho / K(w)^2) on the sheet fixed by the
+    carried branches: log_rho plus the anchor log of A_2 minus that of A_1."""
+    anc1, anc2 = _anchor_logs(sew, prime_form_K(sew.w, sew.tau))
+    return complex(sew.log_rho + anc2 - anc1)
 
 
 def _path_log_K(w0, delta, tau, steps=400):
@@ -163,15 +148,16 @@ def _round_winding(value, what):
     return n
 
 
-def _act_point_one(name, power, p):
-    """Action of a single generator letter on a LiftedPoint.
+def _act_point_one(name, power, sew):
+    """Action of a single generator letter on a SewingConfig.
 
     For the translation generators the carried branches of log(rho) and of the
     puncture anchor logs are transported by continuing log K(w, tau) along the
     straight path of the w-translation; the net changes are 2*pi*i integers
-    recorded in the winding fields.
+    recorded in log_rho and the winding fields.  The contour radii take their
+    defaults at the image.
     """
-    tau, w, rho = p.tau, p.w, p.rho
+    tau, w, rho = sew.tau, sew.w, sew.rho
     if name in _MU_PARAMS:
         a, bb, c = (power * v for v in _MU_PARAMS[name])
         delta = TWO_PI_I * (a * tau + bb)
@@ -183,7 +169,7 @@ def _act_point_one(name, power, p):
             dlogK = _path_log_K(w, delta, tau)
         # log(rho) rides along the lift of lhat = log(-rho / K^2)
         nu = _round_winding((shift + 2.0 * dlogK) / TWO_PI_I, "log_rho")
-        log_rho2 = p.log_rho + TWO_PI_I * nu
+        log_rho2 = sew.log_rho + TWO_PI_I * nu
     else:
         a1, b1, c1, d1 = _SL2_PARAMS[name]
         if power == -1:
@@ -194,29 +180,27 @@ def _act_point_one(name, power, p):
         rho2 = rho / den**2
         shift = -c1 * w**2 / (TWO_PI_I * den)
         log_den = np.log(complex(den))
-        log_rho2 = p.log_rho - 2.0 * log_den
+        log_rho2 = sew.log_rho - 2.0 * log_den
         # the prime form obeys K(w/den, tau2) = K(w, tau) * den^-1
         # * exp(-shift/2); log K moves on the same branch of log(den) as
         # log(rho)
         dlogK = -log_den - 0.5 * shift
-    K, K2 = prime_form_K(w, tau), prime_form_K(w2, tau2)
-    # anchor logs: lambda_1 ~ log(-K(w)), lambda_2 ~ log(1/K(w))
-    anc1 = np.log(-K) + TWO_PI_I * p.n1 + dlogK
-    anc2 = np.log(1.0 / K) + TWO_PI_I * p.n2 - dlogK
-    n1 = _round_winding((anc1 - np.log(-K2)) / TWO_PI_I, "anchor-1")
-    n2 = _round_winding((anc2 - np.log(1.0 / K2)) / TWO_PI_I, "anchor-2")
-    # p.lhat() + shift, against lhat at the image point
-    target = np.log(-rho / K**2) + TWO_PI_I * p.m + shift
-    base2 = np.log(-rho2 / K2**2)
-    m2_int = _round_winding((target - base2) / TWO_PI_I, "lhat")
-    return LiftedPoint(tau2, w2, rho2, m2_int, complex(log_rho2), n1, n2)
+    # the anchor logs move with log K, so lhat moves by exactly shift
+    anc1, anc2 = _anchor_logs(sew, prime_form_K(w, tau))
+    K2 = prime_form_K(w2, tau2)
+    n1 = _round_winding((anc1 + dlogK - np.log(-K2)) / TWO_PI_I, "anchor-1")
+    n2 = _round_winding((anc2 - dlogK - np.log(1.0 / K2)) / TWO_PI_I, "anchor-2")
+    return SewingConfig(
+        tau2, w2, rho2, log_rho=complex(log_rho2), branch_n1=n1, branch_n2=n2
+    )
 
 
-def act_point(g, p):
-    """g.p for a GroupElement g acting on a LiftedPoint p."""
+def act_point(g, sew):
+    """g.sew for a GroupElement g acting on a SewingConfig: the image point
+    with its carried log_rho and anchor windings."""
     for name, power in reversed(g.word):
-        p = _act_point_one(name, power, p)
-    return p
+        sew = _act_point_one(name, power, sew)
+    return sew
 
 
 def _act_twist_one(name, power, tw):
@@ -279,33 +263,31 @@ def chi_multiplier(g, tw):
     return complex(val * chi_multiplier(tail, tw))
 
 
-def zhat(p, tw, N=12, quad_M=256):
-    """Lifted genus-two fermionic partition function at a LiftedPoint."""
-    sew = p.sewing()
+def zhat(sew, tw, N=12, quad_M=256):
+    """Lifted genus-two fermionic partition function at a SewingConfig;
+    returns (Zhat, det(I - T))."""
     T = build_T(N, sew, tw, quad_M)
     det = det_I_minus(T).value
     val = np.exp(TWO_PI_I * tw.beta2 * tw.kappa)
-    val *= np.exp(0.5 * tw.kappa**2 * p.lhat())
-    val *= theta_char_g1(tw.alpha1, tw.beta1, tw.kappa * p.w, p.tau)
-    val /= dedekind_eta(p.tau)
+    val *= np.exp(0.5 * tw.kappa**2 * lhat(sew))
+    val *= theta_char_g1(tw.alpha1, tw.beta1, tw.kappa * sew.w, sew.tau)
+    val /= dedekind_eta(sew.tau)
     return complex(val * det), complex(det)
 
 
-def invariance_residual(g, p, tw, N=12, quad_M=256, chi_scale=1.0):
+def invariance_residual(g, sew, tw, N=12, quad_M=256, chi_scale=1.0):
     """Residuals of the modular multiplier system for the group element g at
-    the lifted point p with twist tw.
+    the sewing configuration sew, with its carried branches, and twist tw.
 
     Returns (full_residual, det_residual) with
 
-        full_residual = |Zhat(g.p, g.tw) / (chi(g; tw) * Zhat(p, tw)) - 1|,
-        det_residual  = |det(I - T)(g.p, g.tw) / det(I - T)(p, tw) - 1|.
+        full_residual = |Zhat(g.sew, g.tw) / (chi(g; tw) * Zhat(sew, tw)) - 1|,
+        det_residual  = |det(I - T)(g.sew, g.tw) / det(I - T)(sew, tw) - 1|.
 
     chi_scale multiplies the character (a deliberate perturbation knob for
     self-testing the sensitivity of the check).
     """
-    z0, d0 = zhat(p, tw, N, quad_M)
-    p2 = act_point(g, p)
-    tw2 = act_twist(g, tw)
-    z1, d1 = zhat(p2, tw2, N, quad_M)
+    z0, d0 = zhat(sew, tw, N, quad_M)
+    z1, d1 = zhat(act_point(g, sew), act_twist(g, tw), N, quad_M)
     chi = chi_multiplier(g, tw) * chi_scale
     return abs(z1 / (chi * z0) - 1.0), abs(d1 / d0 - 1.0)

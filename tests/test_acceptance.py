@@ -7,7 +7,6 @@ import pytest
 from sewkernel import (
     FockLabel,
     GroupElement,
-    LiftedPoint,
     SewingConfig,
     TwistConfig,
     build_T,
@@ -175,7 +174,7 @@ def test_acceptance_5_triple_product_leading_order():
 def test_acceptance_6_modular_multiplier_system():
     """invariance_residual < 1e-6 for T, A, B, C and < 1e-5 for S at N = 12;
     det-only residual < 1e-6 for every generator."""
-    p = LiftedPoint(0.25 + 1.2j, 0.6 + 2.4j, 8e-4 * np.exp(0.5j))
+    p = SewingConfig(0.25 + 1.2j, 0.6 + 2.4j, 8e-4 * np.exp(0.5j))
     tw = TwistConfig(0.2, 0.35, 0.1, 0.15)
     details = []
     passed = True

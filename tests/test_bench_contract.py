@@ -1,0 +1,40 @@
+"""The package API that the benchmark in sewbench/ calls.
+
+For each workload this runs the set-up, one operation and the workload's own
+checks against its mpmath references, so a change that breaks how the
+benchmark calls the package (argument positions, return shapes, the CLI
+sweep config) fails here and not only in a benchmark run.
+"""
+
+import importlib
+import os
+
+import pytest
+
+SEWBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "sewbench")
+
+
+@pytest.fixture()
+def workloads(monkeypatch):
+    # sewbench/run.py puts its own directory on sys.path next to src/
+    monkeypatch.syspath_prepend(SEWBENCH)
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("name", ["partition_cold", "kernel_warm", "modular_sweep"])
+def test_workload_runs_and_passes_its_checks(workloads, name, tmp_path):
+    make = {
+        "partition_cold": lambda: workloads.PartitionCold(0),
+        "kernel_warm": lambda: workloads.KernelWarm(0),
+        "modular_sweep": lambda: workloads.ModularSweep(0, str(tmp_path)),
+    }
+    workload = make[name]()
+    try:
+        workload.setup(0)
+        out = workload.op(workload.prepare(0))
+        checks = workload.check(out, 0)
+    finally:
+        workload.cleanup()
+    assert checks
+    failed = [(c.name, c.deviation, c.tolerance) for c in checks if not c.ok]
+    assert not failed

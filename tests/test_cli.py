@@ -95,6 +95,42 @@ def test_check_perturbed_character_fails(tmp_path):
     assert abs(doc["residual"] - abs(1.0 / 1.01 - 1.0)) < 1e-4
 
 
+@pytest.mark.parametrize("m", [-1, 0, 1])
+def test_check_invariance_reads_the_configured_windings(tmp_path, m):
+    # the lift winding m is not read; the windings and radii of the config are
+    params = dict(BASE_PARAMS, generator="A S", m=m, branch_n1=1, branch_n2=-1, r1=0.3, r2=0.3)
+    cfg = {"target": "invariance", "tolerance": 1e-8, "parameters": params}
+    code, text = _run(tmp_path, "check", cfg)
+    assert code == 0
+    branch = json.loads(text)["branch"]
+    assert (branch["branch_n1"], branch["branch_n2"]) == (1, -1)
+
+
+def test_eval_det_defaults_to_lu_where_trace_log_stops(tmp_path):
+    # spectral radius of T 0.878, Frobenius norm 0.891: the trace-log series
+    # does not converge within its term cap, LU holds
+    params = {
+        "tau": {"re": -0.2415, "im": 1.1224},
+        "w": {"re": 1.7420, "im": -1.4806},
+        "rho": {"re": 8.59e-5, "im": -7.27e-4},
+        "alpha1": 0.381,
+        "beta1": 0.396,
+        "beta2": -0.190,
+        "kappa": -0.278,
+        "N": 12,
+        "quad_M": 128,
+    }
+    code, text = _run(tmp_path, "eval", {"target": "det_I_minus_T", "parameters": params})
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["metadata"]["method"] == "lu"
+    assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - (1.6204 + 0.6214j)) < 1e-4
+    cfg = {"target": "det_I_minus_T", "parameters": dict(params, method="trace_log")}
+    code, text = _run(tmp_path, "eval", cfg)
+    assert code == 2
+    assert "term cap" in text
+
+
 def test_check_frobenius(tmp_path):
     cfg = {
         "target": "frobenius",

@@ -5,7 +5,6 @@ import pytest
 
 from sewkernel import (
     GroupElement,
-    LiftedPoint,
     SewingConfig,
     TwistConfig,
     act_point,
@@ -14,7 +13,7 @@ from sewkernel import (
     invariance_residual,
     zhat,
 )
-from sewkernel import modular
+from sewkernel import modular, prime_form_K
 from sewkernel.modular import _GEN_MATRIX
 
 TAU = 0.25 + 1.2j
@@ -24,7 +23,7 @@ RHO = 8e-4 * np.exp(0.5j)
 
 @pytest.fixture(scope="module")
 def point():
-    return LiftedPoint(TAU, W, RHO)
+    return SewingConfig(TAU, W, RHO)
 
 
 @pytest.fixture(scope="module")
@@ -91,13 +90,13 @@ def test_translation_path_near_a_lattice_point_raises(monkeypatch):
     tau = 0.1 + 1.2j
     w0 = 1j * (np.pi + 0.37 * 2.0 * np.pi / 400)
     B = GroupElement.from_string("B")
-    q = act_point(B, LiftedPoint(tau, w0 + 1e-3, 1e-4))
-    assert (q.m, q.n1, q.n2) == (0, 0, -1)
+    q = act_point(B, SewingConfig(tau, w0 + 1e-3, 1e-4))
+    assert (q.branch_n1, q.branch_n2) == (0, -1)
     points = []
     pfk = modular.prime_form_K
     monkeypatch.setattr(modular, "prime_form_K", lambda z, *a: points.append(np.size(z)) or pfk(z, *a))
     with pytest.raises(RuntimeError, match="lattice point"):
-        act_point(B, LiftedPoint(tau, w0 + 1e-6, 1e-4))
+        act_point(B, SewingConfig(tau, w0 + 1e-6, 1e-4))
     assert sum(points) < 200_000
 
 
@@ -109,17 +108,58 @@ def test_act_point_roundtrips(point):
         assert abs(p2.w - point.w) < 1e-10
         assert abs(p2.rho - point.rho) < 1e-10
         assert abs(p2.log_rho - point.log_rho) < 1e-8
-        assert p2.m == point.m
-        assert (p2.n1, p2.n2) == (point.n1, point.n2)
+        assert (p2.branch_n1, p2.branch_n2) == (point.branch_n1, point.branch_n2)
 
 
-def test_lifted_point_sewing_carries_branches(point):
-    p = LiftedPoint(TAU, W, RHO, m=1, log_rho=np.log(RHO) + 2j * np.pi, n1=1, n2=-1)
-    sew = p.sewing()
-    assert sew.branch_n1 == 1 and sew.branch_n2 == -1
-    assert abs(sew.log_rho - p.log_rho) < 1e-15
-    assert abs(p.lhat() - (np.log(-RHO / __import__("sewkernel").prime_form_K(W, TAU) ** 2) + 2j * np.pi)) < 1e-12
+def _principal_lhat(sew):
+    return np.log(-sew.rho / prime_form_K(sew.w, sew.tau) ** 2)
 
+
+def _winding(z):
+    """Distance of z / (2*pi*i) from the nearest integer."""
+    u = z / (2j * np.pi)
+    return abs(u - np.rint(u.real))
+
+
+def test_lhat_reads_the_carried_branches():
+    base = SewingConfig(TAU, W, RHO)
+    l0 = modular.lhat(base)
+    # Log(1/K) - Log(-K) is -2 log K - i*pi up to 2*pi*i, so lhat is
+    # log(-rho / K^2) on some sheet
+    assert _winding(l0 - _principal_lhat(base)) < 1e-14
+    for n1, n2 in ((1, 0), (0, 1), (2, -1), (-1, 3)):
+        sew = SewingConfig(TAU, W, RHO, branch_n1=n1, branch_n2=n2)
+        assert abs(modular.lhat(sew) - l0 - 2j * np.pi * (n2 - n1)) < 1e-12
+    sew = SewingConfig(TAU, W, RHO, log_rho=np.log(RHO) + 2j * np.pi)
+    assert abs(modular.lhat(sew) - l0 - 2j * np.pi) < 1e-12
+
+
+def _letter_shift(name, power, sew):
+    """The exact change of lhat under one generator letter."""
+    if name in modular._MU_PARAMS:
+        a, b, c = (power * v for v in modular._MU_PARAMS[name])
+        return 2j * np.pi * (a * a * sew.tau + a * b + c) + 2.0 * a * sew.w
+    a1, b1, c1, d1 = modular._SL2_PARAMS[name]
+    if power == -1:
+        a1, b1, c1, d1 = d1, -b1, -c1, a1
+    return -c1 * sew.w**2 / (2j * np.pi * (c1 * sew.tau + d1))
+
+
+def test_lhat_transports_by_the_exact_shift():
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(1.0, 1.5))
+        w = rng.uniform(0.3, 0.45) * 2 * np.pi * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        rho = 1e-4 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        n1, n2, nr = (int(v) for v in rng.integers(-2, 3, size=3))
+        sew = SewingConfig(tau, w, rho, log_rho=np.log(rho) + 2j * np.pi * nr,
+                           branch_n1=n1, branch_n2=n2)
+        for name in ("A", "B", "C", "S", "T"):
+            for power in (1, -1):
+                sew2 = modular._act_point_one(name, power, sew)
+                moved = modular.lhat(sew2) - modular.lhat(sew)
+                assert abs(moved - _letter_shift(name, power, sew)) < 1e-13
+                assert _winding(modular.lhat(sew2) - _principal_lhat(sew2)) < 1e-13
 
 # ------------------------------------------------------------- twist actions
 
@@ -179,6 +219,14 @@ def test_chi_unit_modulus(twist):
 def test_generator_invariance(word, point, twist):
     g = GroupElement.from_string(word)
     full, det_only = invariance_residual(g, point, twist, N=8, quad_M=96)
+    assert full < 1e-8
+    assert det_only < 1e-8
+
+
+@pytest.mark.parametrize("word", ["T", "A", "B", "C", "S", "S T"])
+def test_generator_invariance_at_carried_windings(word, twist):
+    sew = SewingConfig(TAU, W, RHO, branch_n1=1, branch_n2=-1)
+    full, det_only = invariance_residual(GroupElement.from_string(word), sew, twist, N=8, quad_M=96)
     assert full < 1e-8
     assert det_only < 1e-8
 

@@ -320,10 +320,10 @@ def test_surface_is_keyed_on_the_rho_free_geometry(sew, tw, monkeypatch):
 
 def test_transport_by_C_builds_one_surface(tw):
     # C changes only beta2 and log_rho, so both ends share one surface
-    from sewkernel import GroupElement, LiftedPoint, invariance_residual
+    from sewkernel import GroupElement, invariance_residual
 
     szego._moment_block_cached.cache_clear()
-    invariance_residual(GroupElement.from_string("C"), LiftedPoint(TAU, W, 1e-3), tw, 8, 64)
+    invariance_residual(GroupElement.from_string("C"), SewingConfig(TAU, W, 1e-3), tw, 8, 64)
     assert szego._moment_block_cached.cache_info().misses == 1
 
 
