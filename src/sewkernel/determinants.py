@@ -1,8 +1,9 @@
 """Determinant evaluations for the sewing formalism: det(I - T) by pivoted LU
-(the default) or trace-log series, the bosonic moment matrix R, whose E_k
-and P_m are Taylor coefficients of log theta1 read on one circle, with
-det(I - R)^(-1/2) on the branch continued from rho = 0, read off the same
-trace-log series, and finite minor expansions used as oracles."""
+(the default) or by the trace-log series, summed in closed form over the
+eigenvalues, the bosonic moment matrix R, whose E_k and P_m are Taylor
+coefficients of log theta1 read on one circle, with det(I - R)^(-1/2) on the
+branch continued from rho = 0, read off the same trace-log sum, and finite
+minor expansions used as oracles."""
 
 from __future__ import annotations
 
@@ -32,18 +33,15 @@ class DetResult:
     est_error: float
 
 
-TRACE_MAX_TERMS = 200
-TRACE_REL_TOL = 1e-14
-
-
 def det_I_minus(M, method="lu"):
     """det(I - M) for a square complex matrix M.
 
     method = "lu" (the default) uses a pivoted LU factorisation, which needs
     no condition on M: det(I - M) is single-valued, so no branch enters.
     method = "trace_log" uses log det(I - M) = -sum_n tr(M^n)/n, valid for
-    spectral radius < 1 (checked, ValueError otherwise); it is the
-    independent second method of the cross checks.  Returns a DetResult.
+    spectral radius < 1 (checked, ValueError otherwise), summed in closed
+    form over the eigenvalues (see _trace_log_sum); it is the independent
+    second method of the cross checks.  Returns a DetResult.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -52,36 +50,24 @@ def det_I_minus(M, method="lu"):
     if method == "lu":
         sign, logabs = np.linalg.slogdet(np.eye(n) - M)
         val = sign * np.exp(logabs)
-        return DetResult(complex(val), n, "lu", float(abs(val)) * 1e-14 * n)
-    if method != "trace_log":
+    elif method == "trace_log":
+        val = np.exp(_trace_log_sum(M))
+    else:
         raise ValueError(f"unknown method {method!r}")
-
-    # the spectral radius is at most the Frobenius norm, so only a norm of
-    # 1 or more (or NaN) needs the eigenvalues
-    if not np.linalg.norm(M) < 1.0:
-        radius = np.max(np.abs(np.linalg.eigvals(M)))
-        if radius >= 1.0:
-            raise ValueError(f"trace-log series diverges: spectral radius {radius:g} >= 1")
-    acc, last = _trace_log(M)
-    val = np.exp(acc)
-    return DetResult(complex(val), n, "trace_log", float(abs(val)) * max(last, 1e-16))
+    return DetResult(complex(val), n, method, float(abs(val)) * 1e-14 * n)
 
 
-def _trace_log(M):
-    """log det(I - M) = -sum_k tr(M^k)/k, summed until a term is below
-    TRACE_REL_TOL of the partial sum, for M of spectral radius below 1;
-    returns (log det, modulus of the last term).  The sum is that of the
-    principal log(1 - lambda) over the eigenvalues lambda of M."""
-    acc = 0.0 + 0.0j
-    P = np.eye(M.shape[0], dtype=complex)
-    for k in range(1, TRACE_MAX_TERMS + 1):
-        P = P @ M
-        term = np.trace(P) / k
-        acc -= term
-        last = abs(term)
-        if last < TRACE_REL_TOL * max(abs(acc), 1e-300):
-            return acc, last
-    raise RuntimeError("trace-log series did not converge within the term cap")
+def _trace_log_sum(M):
+    """The trace-log series log det(I - M) = -sum_k tr(M^k)/k for M of
+    spectral radius below 1, in closed form: tr(M^k) is the sum of lambda^k
+    over the eigenvalues lambda of M, so the series is the sum of the
+    principal Log(1 - lambda) = log1p(-lambda).  ValueError where the
+    spectral radius is 1 or more, where the series diverges."""
+    lam = np.linalg.eigvals(M)
+    radius = np.max(np.abs(lam))
+    if not radius < 1.0:
+        raise ValueError(f"trace-log series diverges: spectral radius {radius:g} >= 1")
+    return complex(np.sum(np.log1p(-lam)))
 
 
 def _moment_factor(k, l):
@@ -144,7 +130,7 @@ def det_inv_sqrt_I_minus_R(N, sew):
     Scaling rho by s gives R(s*rho) = D_s R D_s with D_s = diag(s^(k/2)),
     ||D_s||_2 <= 1, so where ||R||_2 < 1 every matrix on the ray has spectral
     norm below 1.  The trace-log series of log det(I - R(s*rho)) (see
-    _trace_log) then converges all along the ray, is analytic in s and
+    _trace_log_sum) then converges all along the ray, is analytic in s and
     vanishes at s = 0: it is the continued log det, and the value is
     exp(-log det / 2).  ValueError where ||R||_2 >= 1, since the branch is
     then not certified.
@@ -159,7 +145,7 @@ def det_inv_sqrt_I_minus_R(N, sew):
                 f"det(I - R)^(-1/2): ||R||_2 = {norm:g} >= 1, so the branch continued "
                 "from rho = 0 is not certified"
             )
-    logdet, _ = _trace_log(R)
+    logdet = _trace_log_sum(R)
     return complex(np.exp(-0.5 * logdet))
 
 

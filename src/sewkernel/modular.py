@@ -17,8 +17,10 @@ parameters (alpha1, beta1, beta2, kappa).  The lifted logarithm
     lhat = log_rho + [Log(1/K(w, tau)) + 2*pi*i*n2] - [Log(-K(w, tau)) + 2*pi*i*n1]
 
 is log(-rho / K(w, tau)^2) on the sheet that the carried branches fix; the
-transport moves it by exactly the shift of each generator.  The lifted
-partition function
+transport moves it by exactly the shift of each generator.  log K moves by
+the closed-form laws of the prime form (quasi-periodicity under A, B, C,
+weight -1 under S, T).
+The lifted partition function
 
     Zhat = exp(2*pi*i*beta2*kappa) * exp(kappa^2/2 * lhat)
            * (1/eta) * theta[a1; b1](kappa*w, tau) * det(I - T)
@@ -116,31 +118,6 @@ def lhat(sew):
     return complex(sew.log_rho + anc2 - anc1)
 
 
-def _path_log_K(w0, delta, tau, steps=400):
-    """Increment of log K(w0 + s*delta, tau) continued along s in [0, 1].
-
-    The path starts at `steps` steps and is refined fourfold until every
-    step of the phase of K is at most pi/2; RuntimeError where 102,400 steps
-    do not suffice, since the winding is then not certified (the path passes
-    too close to a zero of K, i.e. a lattice point).
-    """
-    while True:
-        s = np.linspace(0.0, 1.0, steps + 1)
-        vals = prime_form_K(w0 + s * delta, tau)
-        ang = np.unwrap(np.angle(vals))
-        if np.max(np.abs(np.diff(ang))) <= 0.5 * np.pi:
-            break
-        if steps >= 102_400:
-            raise RuntimeError(
-                f"log K continuation: a phase step above pi/2 at {steps} steps; the "
-                "translation path passes too close to a lattice point"
-            )
-        steps *= 4
-    return complex(
-        np.log(abs(vals[-1])) - np.log(abs(vals[0])) + 1j * (ang[-1] - ang[0])
-    )
-
-
 def _round_winding(value, what):
     n = int(np.rint(np.real(value)))
     if abs(value - n) > 1e-8:
@@ -151,25 +128,26 @@ def _round_winding(value, what):
 def _act_point_one(name, power, sew):
     """Action of a single generator letter on a SewingConfig.
 
-    For the translation generators the carried branches of log(rho) and of the
-    puncture anchor logs are transported by continuing log K(w, tau) along the
-    straight path of the w-translation; the net changes are 2*pi*i integers
-    recorded in log_rho and the winding fields.  The contour radii take their
-    defaults at the image.
+    Each letter moves log K(w, tau) by the exact law of the prime form: by
+    its quasi-periodicity for the translations A, B, C and by its weight -1
+    law for S and T.  The carried branches of log(rho) and of the puncture
+    anchor logs follow, so the net changes are 2*pi*i integers recorded in
+    log_rho and the winding fields.  For a translation the choice of log of
+    the sign (-1)^(a+b) fixes these integers only up to the gauge
+    (log_rho + 4*pi*i*j, n1 + j, n2 - j), which leaves lhat, T and Zhat
+    unchanged.  The contour radii take their defaults at the image.
     """
     tau, w, rho = sew.tau, sew.w, sew.rho
     if name in _MU_PARAMS:
         a, bb, c = (power * v for v in _MU_PARAMS[name])
-        delta = TWO_PI_I * (a * tau + bb)
-        tau2, w2, rho2 = tau, w + delta, rho
-        shift = TWO_PI_I * a**2 * tau + 2.0 * a * w + TWO_PI_I * (a * bb + c)
-        if delta == 0:
-            dlogK = 0.0 + 0.0j
-        else:
-            dlogK = _path_log_K(w, delta, tau)
-        # log(rho) rides along the lift of lhat = log(-rho / K^2)
-        nu = _round_winding((shift + 2.0 * dlogK) / TWO_PI_I, "log_rho")
-        log_rho2 = sew.log_rho + TWO_PI_I * nu
+        tau2, w2, rho2 = tau, w + TWO_PI_I * (a * tau + bb), rho
+        # the prime form obeys K(w + 2*pi*i*(a*tau + b), tau) = (-1)^(a+b)
+        # * exp(-i*pi*a^2*tau - a*w) * K(w, tau); log(rho) rides along the
+        # lift of lhat = log(-rho / K^2), whose shift
+        # 2*pi*i*a^2*tau + 2*a*w + 2*pi*i*(a*b + c) plus 2*dlogK is
+        # 2*pi*i*(a*b + c + a + b)
+        dlogK = 1j * np.pi * (a + bb - a**2 * tau) - a * w
+        log_rho2 = sew.log_rho + TWO_PI_I * (a * bb + c + a + bb)
     else:
         a1, b1, c1, d1 = _SL2_PARAMS[name]
         if power == -1:

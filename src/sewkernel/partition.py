@@ -253,18 +253,17 @@ def fock_2pt_fourier(label_w, label_0, sew, tw, quad_M=64):
     return complex(eps * z0 * np.linalg.det(P))
 
 
-def z2_fermionic(sew, tw, N=16, quad_M=256, method="lu"):
+def z2_fermionic(sew, tw, N=16, quad_M=256):
     """Genus-two fermionic partition function
 
         exp(2*pi*i*beta2*kappa) * (exp(i*pi*B)*rho)^(kappa^2/2)
         * z1_twisted_2pt * det(I - T),
 
     the rho-power taken on the branch fixed by SewingConfig.log_rho.
-    det(I - T) is taken by det_I_minus with `method`; the default LU also
-    holds where the spectral radius of T is 1 or more, where "trace_log"
-    raises."""
+    det(I - T) is taken by pivoted LU (det_I_minus), which also holds where
+    the spectral radius of T is 1 or more."""
     T = build_T(N, sew, tw, quad_M)
-    det = det_I_minus(T, method=method).value
+    det = det_I_minus(T).value
     pref = np.exp(2j * np.pi * tw.beta2 * tw.kappa)
     pref *= np.exp(0.5 * tw.kappa**2 * (1j * np.pi * tw.B + sew.log_rho))
     return complex(pref * z1_twisted_2pt(sew, tw) * det)

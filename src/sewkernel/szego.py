@@ -237,11 +237,11 @@ def _radial_phase(side, path, sew):
     return np.unwrap(np.angle(path), axis=0)[-1] + 2.0 * np.pi * winding
 
 
-def _log_A_radial(side, t, sew, steps=_RADIAL_STEPS):
+def _log_A_radial(side, t, sew):
     """log A_c at scattered points, continued radially from the puncture
-    centre (see _radial_phase).  Vectorised over t."""
+    centre in _RADIAL_STEPS steps (see _radial_phase).  Vectorised over t."""
     t = np.asarray(t, dtype=complex)
-    s = np.linspace(0.0, 1.0, steps + 1)
+    s = np.linspace(0.0, 1.0, _RADIAL_STEPS + 1)
     path = s[:, None] * t[None, ...].reshape(1, -1)
     vals = _A_values(side, path, sew)
     out = np.log(np.abs(vals[-1])) + 1j * _radial_phase(side, vals, sew)

@@ -106,9 +106,9 @@ def test_check_invariance_reads_the_configured_windings(tmp_path, m):
     assert (branch["branch_n1"], branch["branch_n2"]) == (1, -1)
 
 
-def test_eval_det_defaults_to_lu_where_trace_log_stops(tmp_path):
+def test_eval_det_defaults_to_lu_and_trace_log_agrees(tmp_path):
     # spectral radius of T 0.878, Frobenius norm 0.891: the trace-log series
-    # does not converge within its term cap, LU holds
+    # converges slowly here, its sum over the eigenvalues agrees with LU
     params = {
         "tau": {"re": -0.2415, "im": 1.1224},
         "w": {"re": 1.7420, "im": -1.4806},
@@ -124,11 +124,14 @@ def test_eval_det_defaults_to_lu_where_trace_log_stops(tmp_path):
     assert code == 0
     doc = json.loads(text)
     assert doc["metadata"]["method"] == "lu"
-    assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - (1.6204 + 0.6214j)) < 1e-4
+    lu = complex(doc["value"]["re"], doc["value"]["im"])
+    assert abs(lu - (1.6204 + 0.6214j)) < 1e-4
     cfg = {"target": "det_I_minus_T", "parameters": dict(params, method="trace_log")}
     code, text = _run(tmp_path, "eval", cfg)
-    assert code == 2
-    assert "term cap" in text
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["metadata"]["method"] == "trace_log"
+    assert abs(complex(doc["value"]["re"], doc["value"]["im"]) / lu - 1.0) < 1e-12
 
 
 def test_check_frobenius(tmp_path):

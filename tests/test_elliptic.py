@@ -84,6 +84,38 @@ def test_prime_form_raises_on_lattice():
         prime_form_K(TWO_PI_I * (TAU + 1.0), TAU)
 
 
+# tau in the fundamental domain and off it, with |Re tau| up to 3
+LAW_TAUS = [0.3 + 1.1j, -0.45 + 0.95j, 1j, 2.6 + 1.2j, -3.0 + 0.9j]
+LAW_WS = [0.5 + 0.7j, -1.1 + 0.4j, 0.2 - 1.3j]
+
+
+@pytest.mark.parametrize("tau", LAW_TAUS)
+def test_prime_form_quasi_periodicity(tau):
+    # [DERIVED] from the theta1 series: the modular transport moves log K by
+    # this law under the translations A, B
+    for w in LAW_WS:
+        K0 = prime_form_K(w, tau)
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                K1 = prime_form_K(w + TWO_PI_I * (a * tau + b), tau)
+                want = (-1) ** (a + b) * np.exp(-1j * np.pi * a * a * tau - a * w) * K0
+                assert abs(K1 / want - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("tau", LAW_TAUS)
+@pytest.mark.parametrize("abcd", [(0, 1, -1, 0), (1, 1, 0, 1)], ids=["S", "T"])
+def test_prime_form_weight_minus_one(tau, abcd):
+    # [DERIVED] K(w/(c tau + d), gamma tau)
+    #   = K(w, tau) (c tau + d)^-1 exp(c w^2 / (4 pi i (c tau + d))),
+    # the law the modular transport uses under S and T
+    a, b, c, d = abcd
+    den = c * tau + d
+    for w in LAW_WS:
+        K1 = prime_form_K(w / den, (a * tau + b) / den)
+        want = prime_form_K(w, tau) / den * np.exp(c * w * w / (2.0 * TWO_PI_I * den))
+        assert abs(K1 / want - 1.0) < 1e-12
+
+
 def test_nearest_lattice_point_roundtrip():
     # [TRIVIAL] the returned (m, n) reproduces lam
     z = 0.3 + 9.0j

@@ -1,5 +1,7 @@
 """Unit tests for the modular action, multiplier character and invariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sewkernel import (
     TwistConfig,
     act_point,
     act_twist,
+    build_T,
     chi_multiplier,
     invariance_residual,
     zhat,
@@ -83,21 +86,36 @@ def test_act_point_sl2(point):
     assert abs(pT.tau - (point.tau + 1.0)) < 1e-12
 
 
-def test_translation_path_near_a_lattice_point_raises(monkeypatch):
+def test_translation_near_a_lattice_point_is_exact(twist):
     # the straight path of B from w passes the lattice point 2*pi*i at
-    # distance `off`; the phase refinement of log K stops at its cap and
-    # raises instead of growing toward the memory limit
+    # distance 1e-6; log K moves by the quasi-periodicity of K, which does
+    # not see the path, so the transport and the residual hold there too
     tau = 0.1 + 1.2j
     w0 = 1j * (np.pi + 0.37 * 2.0 * np.pi / 400)
     B = GroupElement.from_string("B")
-    q = act_point(B, SewingConfig(tau, w0 + 1e-3, 1e-4))
-    assert (q.branch_n1, q.branch_n2) == (0, -1)
-    points = []
-    pfk = modular.prime_form_K
-    monkeypatch.setattr(modular, "prime_form_K", lambda z, *a: points.append(np.size(z)) or pfk(z, *a))
-    with pytest.raises(RuntimeError, match="lattice point"):
-        act_point(B, SewingConfig(tau, w0 + 1e-6, 1e-4))
-    assert sum(points) < 200_000
+    for off in (1e-3, 1e-6):
+        sew = SewingConfig(tau, w0 + off, 1e-4)
+        q = act_point(B, sew)
+        assert (q.branch_n1, q.branch_n2) == (0, -1)
+        full, det_only = invariance_residual(B, sew, twist, N=8, quad_M=96)
+        assert full < 1e-8 and det_only < 1e-8
+
+
+def test_winding_gauge_changes_nothing(point, twist):
+    # (log_rho + 4*pi*i*j, n1 + j, n2 - j) is the freedom the transport of a
+    # translation leaves: T, lhat and the residuals do not see it
+    T0 = build_T(8, point, twist, 96)
+    words = [GroupElement.from_string(w) for w in ("A", "S", "B S T^-1")]
+    res0 = [invariance_residual(g, point, twist, N=8, quad_M=96) for g in words]
+    for j in (-2, -1, 1, 3):
+        sew = replace(point, log_rho=point.log_rho + 4j * np.pi * j,
+                      branch_n1=point.branch_n1 + j, branch_n2=point.branch_n2 - j)
+        T = build_T(8, sew, twist, 96)
+        assert np.max(np.abs(T - T0)) <= 1e-13 * np.max(np.abs(T0))
+        assert abs(modular.lhat(sew) - modular.lhat(point)) <= 1e-13
+        for g, r0 in zip(words, res0):
+            r = invariance_residual(g, sew, twist, N=8, quad_M=96)
+            assert np.allclose(r, r0, rtol=0.0, atol=1e-13)
 
 
 def test_act_point_roundtrips(point):

@@ -209,12 +209,6 @@ def test_fock_sum_builds_the_moment_grids_once(sew, tw, monkeypatch):
     assert szego._moment_block_cached.cache_info().misses == misses + 1
 
 
-def test_z2_fermionic_det_method_agreement(sew, tw):
-    a = z2_fermionic(sew, tw, N=12, quad_M=128, method="trace_log")
-    b = z2_fermionic(sew, tw, N=12, quad_M=128, method="lu")
-    assert abs(a / b - 1.0) < 1e-12
-
-
 def test_z2_fermionic_beyond_unit_spectral_radius():
     # in-domain points where the spectral radius of T is 1 or more: the
     # trace-log series raises there, the default LU converges in N
