@@ -38,7 +38,8 @@ trapezoid rule aliases onto order n only the orders n + M, n + 2M, ...,
 so its error decays geometrically in M (Trefethen & Weideman, SIAM Rev. 56,
 2014).  The Eisenstein series E_k and the Weierstrass-type functions P_m
 are such coefficients of log theta1, read from one theta grid for any
-number of orders and centres (see _log_theta1_taylor).
+number of orders and centres (see _log_theta1_circle and
+_log_theta1_taylor).
 """
 
 from __future__ import annotations
@@ -272,19 +273,17 @@ def _taylor(values, r):
     return np.fft.fft(values, axis=0) / M * r ** -np.arange(float(M))[:, None]
 
 
-def _log_theta1_taylor(n, centres, R, tau):
-    """Taylor coefficients a_0..a_n in s of log theta1(c + s, tau), less
-    log s at c = 0, for each centre c in the list centres, as the columns of
-    an (n + 1) x len(centres) array; theta1(c + s) must have no zero on
-    0 < |s| < R.
+def _log_theta1_circle(n, centres, R, tau):
+    """(values, r): log theta1(c + s, tau), less log s at c = 0, for each
+    centre c in the list centres (one column each) at the M >= 8n points s
+    of the circle of radius r that _taylor_circle gives for n orders;
+    theta1(c + s) must have no zero on 0 < |s| < R.
 
-    One theta_char_g1_diff grid gives every centre on the circle of
-    _taylor_circle with M >= 8n points, so order n carries at most
-    2^(64n/M) <= 2^8 times the round-off eps/r^n of the radius r itself.
-    The phase is unwrapped around the circle; one that does not close
-    raises RuntimeError.  The grid is summed at tau - round(Re tau): theta1
-    changes by a constant factor under tau -> tau + 1, which moves a_0 only,
-    and the phases of its terms then carry no round-off of order |Re tau|.
+    One theta_char_g1_diff grid gives every centre.  The phase is unwrapped
+    around the circle; one that does not close raises RuntimeError.  The
+    grid is summed at tau - round(Re tau): theta1 changes by a constant
+    factor under tau -> tau + 1, which moves a_0 only, and the phases of its
+    terms then carry no round-off of order |Re tau|.
     """
     M, r = _taylor_circle(8 * n, _TAYLOR_M_LOG_THETA1, R)
     s = r * np.exp(TWO_PI_I * np.arange(M) / M)
@@ -294,7 +293,15 @@ def _log_theta1_taylor(n, centres, R, tau):
     ang = np.unwrap(np.angle(np.vstack([vals, vals[:1]])), axis=0)
     if np.any(np.abs(ang[-1] - ang[0]) > 1e-6):
         raise RuntimeError("log theta1 winds around its Taylor circle; a zero of theta1 inside")
-    return _taylor(np.log(np.abs(vals)) + 1j * ang[:-1], r)[: n + 1]
+    return np.log(np.abs(vals)) + 1j * ang[:-1], r
+
+
+def _log_theta1_taylor(n, centres, R, tau):
+    """Taylor coefficients a_0..a_n in s of the columns of _log_theta1_circle,
+    as an (n + 1) x len(centres) array: order n carries at most
+    2^(64n/M) <= 2^8 times the round-off eps/r^n of the radius r itself."""
+    vals, r = _log_theta1_circle(n, centres, R, tau)
+    return _taylor(vals, r)[: n + 1]
 
 
 def eisenstein(k, tau):

@@ -142,8 +142,8 @@ def sewing_multiplier_residual(x_loc, a, y, sew, tw, N=16, quad_M=256):
     jac = (-1.0) ** abar * tw.xi * sew.sqrt_rho / xbar_loc
     scale = max(abs(lhs * jac), abs(rhs), 1e-300)
 
-    n_x = principal_branch_winding(a, x_loc, sew)
-    n_xbar = principal_branch_winding(abar, xbar_loc, sew)
+    n_x = principal_branch_winding(a, x_loc, sew, tw)
+    n_xbar = principal_branch_winding(abar, xbar_loc, sew, tw)
     nu_c = (np.log(x_loc) + np.log(xbar_loc) - sew.log_rho) / (2j * np.pi)
     nu = int(np.rint(nu_c.real))
     if abs(nu_c - nu) > 1e-8:

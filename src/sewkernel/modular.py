@@ -37,7 +37,7 @@ import numpy as np
 
 from .elliptic import dedekind_eta, prime_form_K, theta_char_g1
 from .determinants import det_I_minus
-from .szego import SewingConfig, build_T
+from .szego import SewingConfig, _anchor_logs, build_T
 
 TWO_PI_I = 2j * np.pi
 
@@ -100,15 +100,6 @@ class GroupElement:
             G = _GEN_MATRIX[name]
             M = M @ (G if power == 1 else np.linalg.inv(G).astype(int))
         return M
-
-
-def _anchor_logs(sew, K):
-    """The carried anchor logs of the puncture branch factors at K = K(w):
-    log A_1 ~ Log(-K) + 2*pi*i*n1 and log A_2 ~ Log(1/K) + 2*pi*i*n2."""
-    return (
-        np.log(-K) + TWO_PI_I * sew.branch_n1,
-        np.log(1.0 / K) + TWO_PI_I * sew.branch_n2,
-    )
 
 
 def lhat(sew):

@@ -19,7 +19,7 @@ from .elliptic import (
 from .determinants import det_I_minus, det_inv_sqrt_I_minus_R
 from .genus2 import s2_eval
 from .szego import (
-    _log_A_circle,
+    _surface,
     build_T,
     moment_block,
     puncture_center,
@@ -60,22 +60,19 @@ class FockLabel:
         return self.weight() + kappa * (self.s - self.t) + 0.5 * kappa**2
 
 
-def z1_alpha_npoint(alpha, insertions, tau, strict=True):
+def z1_alpha_npoint(alpha, insertions, tau):
     """Genus-one n-point generating function in the lattice sector alpha:
 
         q^(alpha^2/2)/eta * exp(alpha*sum_i beta_i z_i)
         * prod_{r<s} K(z_r - z_s)^(beta_r*beta_s)
 
     insertions is a list of (beta_i, z_i) pairs; the neutrality condition
-    sum_i beta_i = 0 is enforced (strict=True raises, otherwise 0 is
-    returned, matching the vanishing of the charged correlator).
+    sum_i beta_i = 0 is enforced (ValueError otherwise).
     """
     betas = [be for be, _ in insertions]
     zs = [z for _, z in insertions]
     if abs(sum(betas)) > 1e-12:
-        if strict:
-            raise ValueError("charge imbalance: sum of insertion charges must vanish")
-        return 0.0j
+        raise ValueError("charge imbalance: sum of insertion charges must vanish")
     q = np.exp(2j * np.pi * tau)
     val = q ** (0.5 * alpha**2) / dedekind_eta(tau)
     val *= np.exp(alpha * sum(be * z for be, z in insertions))
@@ -171,7 +168,7 @@ def _epsilon_sign(s1, t1, s2, t2, tw):
     )
 
 
-def fock_2pt(label_w, label_0, sew, tw, quad_M=256, strict=True):
+def fock_2pt(label_w, label_0, sew, tw, quad_M=256):
     """Two-point function of kappa-shifted Fock states, the state label_w
     = Psi_kappa[k1, l2] inserted at w and label_0 = Psi_{-kappa}[k2, l1]
     at 0:
@@ -181,15 +178,13 @@ def fock_2pt(label_w, label_0, sew, tw, quad_M=256, strict=True):
 
     eps = (-1)^((t1+s2)*t2 + floor(p/2)) * exp(i*pi*B*kappa*(s2 - t1)),
     where p = s1 + s2 = t1 + t2 is the common charge-mode count (charge
-    balance is enforced; strict=False returns 0 instead of raising).
+    balance is enforced, ValueError otherwise).
     """
     k1, l2 = tuple(label_w.k_list), tuple(label_w.l_list)
     k2, l1 = tuple(label_0.k_list), tuple(label_0.l_list)
     p = len(k1) + len(k2)
     if len(l1) + len(l2) != p:
-        if strict:
-            raise ValueError("charge imbalance between the two Fock labels")
-        return 0.0j
+        raise ValueError("charge imbalance between the two Fock labels")
     z0 = z1_twisted_2pt(sew, tw)
     eps = _epsilon_sign(len(k1), len(l1), len(k2), len(l2), tw)
     if p == 0:
@@ -209,10 +204,12 @@ def fock_2pt_fourier(label_w, label_0, sew, tw, quad_M=64):
     corresponding coefficient of gen1_form.
 
     Each row insertion (puncture side, mode k) is integrated over its own
-    circle against loc^(-k) times the branch-tracked regularising factor; by
-    multilinearity of the determinant this reduces to a determinant of
-    pairwise extractions, evaluated here by direct trapezoid sums on circles
-    whose radii differ from (and are independent of) the moment contours.
+    circle against loc^(-k) times the branch-tracked regularising factor
+    exp(+-kappa*log A), log A from the series of the surface (see
+    szego._Surface); by multilinearity of the determinant this reduces to a
+    determinant of pairwise extractions, evaluated here by direct trapezoid
+    sums on circles whose radii differ from (and are independent of) the
+    moment circles.
     """
     k1, l2 = tuple(label_w.k_list), tuple(label_w.l_list)
     k2, l1 = tuple(label_0.k_list), tuple(label_0.l_list)
@@ -226,21 +223,18 @@ def fock_2pt_fourier(label_w, label_0, sew, tw, quad_M=64):
 
     rows = [(2, k) for k in k1] + [(1, k) for k in k2]  # x side: k1 near w, k2 near 0
     cols = [(1, l) for l in l1] + [(2, l) for l in l2]  # y side: l1 near 0, l2 near w
-    kap = tw.kappa
+    surface = _surface(sew, tw)
+    unit = np.exp(2j * np.pi * np.arange(quad_M) / quad_M)
 
-    def base_r(side):
-        return sew.r1 if side == 1 else sew.r2
+    def circle(side, frac, sign):
+        # the local points of a circle at frac * (r1 or r2) and the
+        # regularising factor exp(sign * kappa * log A) on them
+        r = frac * (sew.r1 if side == 1 else sew.r2)
+        return r * unit, np.exp(sign * tw.kappa * surface.log_A_circles(side, [r], quad_M)[0])
 
-    xdata = []
-    for i, (side, k) in enumerate(rows):
-        r = base_r(side) * (0.98 - 0.06 * i)
-        t, loga = _log_A_circle(side, r, quad_M, sew)
-        xdata.append((side, k, t, np.exp(kap * loga)))
-    ydata = []
-    for j, (side, l) in enumerate(cols):
-        r = base_r(side) * (0.72 - 0.06 * j)  # strictly inside every x circle
-        t, loga = _log_A_circle(side, r, quad_M, sew)
-        ydata.append((side, l, t, np.exp(-kap * loga)))
+    xdata = [(side, k, *circle(side, 0.98 - 0.06 * i, 1)) for i, (side, k) in enumerate(rows)]
+    # strictly inside every x circle
+    ydata = [(side, l, *circle(side, 0.72 - 0.06 * j, -1)) for j, (side, l) in enumerate(cols)]
 
     P = np.empty((p, p), dtype=complex)
     for i, (xs_side, k, tx, ux) in enumerate(xdata):

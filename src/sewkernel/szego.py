@@ -23,11 +23,15 @@ punctures, on the circles of radii r1, r2, remain only in half_diff.
 
 Branch convention.  Every fractional power attached to a puncture is realised
 as exp(+/- kappa * log A_c(t)) where A_1(t) = t*theta1(t-w)/theta1(t),
-A_2(t) = theta1(t)/(t*theta1(t+w)) are analytic and non-vanishing on a disk
-around the respective puncture, and log A_c is continued radially from its
-value at the puncture centre (principal logarithm of -K(w) resp. 1/K(w)).
-This makes every contour integrand single valued and fixes the relative
-branch between pointwise kernel evaluations and the moment matrices.
+A_2(t) = theta1(t)/(t*theta1(t+w)) are analytic and non-vanishing on the disk
+|t| < R = min(D(q), dist(w, Lambda)) around the respective puncture, and
+log A_c is the sum of its Taylor series at the puncture centre (see
+_Surface), whose constant term is the carried anchor log
+Log(-K(w)) + 2*pi*i*n1 resp. Log(1/K(w)) + 2*pi*i*n2 (see _anchor_logs).
+Every log A, on the moment circles, the extraction contours and at single
+points, is read from that one series, and |t| >= R raises ValueError.  This
+makes every contour integrand single valued and fixes the relative branch
+between pointwise kernel evaluations and the moment matrices.
 Fractional powers of rho always use one fixed principal logarithm stored on
 SewingConfig.
 """
@@ -36,13 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import ceil, comb, log, log1p
 
 import numpy as np
 
 from .elliptic import (
+    _LOG_EPS,
+    _TAYLOR_M_LOG_THETA1,
     _check_off_lattice,
     _is_grid,
+    _log_theta1_circle,
     _taylor,
     _taylor_circle,
     _theta_grid_factors,
@@ -56,7 +63,6 @@ from .elliptic import (
 )
 
 COINCIDENCE_RTOL = 1e-8
-_RADIAL_STEPS = 48
 
 
 @dataclass(frozen=True)
@@ -178,6 +184,16 @@ class SewingConfig:
         return lattice_min_distance(self.tau)
 
 
+def _anchor_logs(sew, K):
+    """The carried anchor logs of the puncture branch factors at K = K(w):
+    log A_1(0) = Log(-K) + 2*pi*i*n1 and log A_2(0) = Log(1/K) + 2*pi*i*n2,
+    with the windings n1, n2 of sew."""
+    return (
+        np.log(-K) + 2j * np.pi * sew.branch_n1,
+        np.log(1.0 / K) + 2j * np.pi * sew.branch_n2,
+    )
+
+
 def _check_order(N):
     """The truncation order N as an int; ValueError unless N is an integer
     of at least 1."""
@@ -208,69 +224,6 @@ def mode_offset(a, kappa):
     if a == 2:
         return -kappa
     raise ValueError(f"puncture index must be 1 or 2, got {a}")
-
-
-def _A_values(side, t, sew):
-    """A_c(t) for the branch bookkeeping, vectorised over t; t = 0 is mapped
-    to the limit theta1(-s)/theta1'(0) (side 1) or its inverse (side 2).
-
-    A_1 = t*theta1(t - s)/theta1(t) with s = w, A_2 = theta1(t)/(t*theta1(t - s))
-    with s = -w, and theta1(t), theta1(t - s) at every t come from one product
-    grid (see elliptic.theta_char_g1_diff).
-    """
-    t = np.asarray(t, dtype=complex)
-    flat = t.reshape(-1)
-    shift = sew.w if side == 1 else -sew.w
-    th = theta_char_g1_diff(0.5, 0.5, flat[:, None], np.array([[0.0, shift]]), sew.tau)
-    num, den = flat * th[:, 1], th[:, 0]
-    zero = flat == 0.0
-    num[zero], den[zero] = th[zero, 1], theta1_prime0(sew.tau)
-    vals = num / den if side == 1 else den / num
-    return vals.reshape(t.shape)
-
-
-def _radial_phase(side, path, sew):
-    """Phase of A_c at the end of radial paths whose values run along axis 0
-    from the puncture centre: unwrapped from the principal phase at the
-    centre, plus 2*pi times the carried winding of puncture `side`."""
-    winding = sew.branch_n1 if side == 1 else sew.branch_n2
-    return np.unwrap(np.angle(path), axis=0)[-1] + 2.0 * np.pi * winding
-
-
-def _log_A_radial(side, t, sew):
-    """log A_c at scattered points, continued radially from the puncture
-    centre in _RADIAL_STEPS steps (see _radial_phase).  Vectorised over t."""
-    t = np.asarray(t, dtype=complex)
-    s = np.linspace(0.0, 1.0, _RADIAL_STEPS + 1)
-    path = s[:, None] * t[None, ...].reshape(1, -1)
-    vals = _A_values(side, path, sew)
-    out = np.log(np.abs(vals[-1])) + 1j * _radial_phase(side, vals, sew)
-    return out.reshape(t.shape)
-
-
-def _log_A_circle(side, r, M, sew):
-    """(points, log A_c) on the circle |t| = r, branch-continuous and
-    anchored by radial continuation at angle zero.
-
-    A_c comes from one product grid of theta1 (see _A_values) over the
-    circle and the _RADIAL_STEPS-step radial path from the centre to the
-    circle's first point together.  The path's phase (see _radial_phase)
-    anchors the circle's phase.  A phase that does not close around the circle raises
-    RuntimeError.
-    """
-    theta = 2.0 * np.pi * np.arange(M) / M
-    t = r * np.exp(1j * theta)
-    radial = np.linspace(0.0, 1.0, _RADIAL_STEPS + 1) * t[0]
-    vals = _A_values(side, np.concatenate([t, radial]), sew)
-    circle, path = vals[:M], vals[M:]
-    ang = np.unwrap(np.angle(np.append(circle, circle[0])))
-    if abs(ang[-1] - ang[0]) > 1e-6:
-        raise RuntimeError(
-            "branch factor winds around the contour; radius outside the "
-            "analyticity disk of the puncture factor"
-        )
-    anchor = _radial_phase(side, path, sew)
-    return t, np.log(np.abs(circle)) + 1j * (ang[:-1] + (anchor - ang[0]))
 
 
 def theta_ratio_core(x, y, sew, tw, wx=None, wy=None):
@@ -333,21 +286,23 @@ def s_kappa_regular(x_loc, y_loc, x_side, y_side, sew, tw):
              * exp(-kappa*log A_{y_side}(y_loc)) * core(x, y),
 
     which is single valued on the annuli; for x_side == y_side it has the
-    plain Cauchy singularity 1/(x_loc - y_loc) with unit residue.
+    plain Cauchy singularity 1/(x_loc - y_loc) with unit residue.  log A
+    comes from its Taylor series on the surface of (sew, tw), so a local
+    coordinate with |t| >= R raises ValueError (see _Surface).
     """
     x_loc = np.asarray(x_loc, dtype=complex)
     y_loc = np.asarray(y_loc, dtype=complex)
     x = x_loc + puncture_center(x_side, sew)
     y = y_loc + puncture_center(y_side, sew)
     _check_coincidence(x, y, sew)
-    kap = tw.kappa
-    ux = np.exp(kap * _log_A_radial(x_side, x_loc, sew))
-    uy = np.exp(-kap * _log_A_radial(y_side, y_loc, sew))
+    surface, kap = _surface(sew, tw), tw.kappa
+    ux = np.exp(kap * surface.log_A(x_side, x_loc))
+    uy = np.exp(-kap * surface.log_A(y_side, y_loc))
     val = theta_ratio_core(x, y, sew, tw, ux, uy)
     return complex(val) if np.ndim(val) == 0 else val
 
 
-def principal_branch_winding(side, t, sew):
+def principal_branch_winding(side, t, sew, tw):
     """Integer winding n of the principal puncture power against the
     branch-tracked reference at a local point t of annulus `side`:
 
@@ -355,14 +310,15 @@ def principal_branch_winding(side, t, sew):
             = exp(2*pi*i*kappa*n) * exp(kappa * ref(t)),
 
     with ref = Log t + log A_2(t) at side 2 and log A_1(t) - Log t at side 1
-    (radially continued logs, principal Log t).  Every pointwise kernel
-    evaluation in this package shares the principal power, so n measures the
-    branch-cut slip relative to the moment-expansion convention.
+    (log A from its Taylor series on the surface of (sew, tw), principal
+    Log t).  Every pointwise kernel evaluation in this package shares the
+    principal power, so n measures the branch-cut slip relative to the
+    moment-expansion convention.  ValueError at |t| >= R (see _Surface).
     """
     t = complex(t)
     x = t + puncture_center(side, sew)
     ratio = theta1(x - sew.w, sew.tau) / theta1(x, sew.tau)
-    la = _log_A_radial(side, np.array([t]), sew)[0]
+    la = _surface(sew, tw).log_A(side, t)
     ref = (np.log(t) + la) if side == 2 else (la - np.log(t))
     d = (np.log(ratio) - ref) / (2j * np.pi)
     n = int(np.rint(d.real))
@@ -387,14 +343,6 @@ def _other(a):
     return 3 - a
 
 
-def _contour(side, r, M, sew, tw):
-    """Global points of the circle |t| = r around puncture `side` and the
-    branch-tracked regularising factors exp(sign * kappa * log A_side) on
-    it, as a dict over sign (+1 for an x-contour, -1 for a y-contour)."""
-    t, loga = _log_A_circle(side, r, M, sew)
-    return t + puncture_center(side, sew), {s: np.exp(s * tw.kappa * loga) for s in (1, -1)}
-
-
 # Floors of the point counts M of the Taylor circles (see
 # elliptic._taylor_circle).
 # T weights order n by sqrt|rho|^n < (0.45*R)^n at the default radii, and
@@ -407,22 +355,32 @@ _TAYLOR_M_CORE = 512
 
 class _Surface:
     """Cached state of one rho-free geometry, the key (tau, w, branch_n1,
-    branch_n2, alpha1, beta1, kappa) of _surface: the four moment blocks at
-    the largest N asked for so far, and the extraction contours of
-    half_diff by (side, radius, quad_M).  Every series in them is summed
-    over its tail-bound range, so no accuracy setting enters the key.  Its
-    sew and tw carry the default radii, an admissible rho and beta2 = 0,
-    read by nothing.
+    branch_n2, alpha1, beta1, kappa) of _surface: the Taylor coefficients of
+    log A_1 and log A_2 at the puncture centre and the four moment blocks,
+    each at the largest order asked for so far.  Every series in them is
+    summed over its tail-bound range, so no accuracy setting enters the key.
+    Its sew and tw carry the default radii, an admissible rho and
+    beta2 = 0, read by nothing.
+
+    The puncture factors A_1, A_2 are analytic and zero-free on |t| < R =
+    min(D(q), dist(w, Lambda)).  With the E_n and P_n(w) of
+    elliptic.eisenstein and elliptic.weierstrass_P, log A_1(t) = anchor_1
+    + sum_n (E_n - P_n(w)) t^n/n and log A_2(t) = anchor_2
+    - sum_n (E_n - (-1)^n P_n(w)) t^n/n (the twisted Eisenstein data of
+    Tuite & Zuevsky), the anchors the carried logs of _anchor_logs.  These
+    series give every log A: log_A_circles on the circles of the moment
+    blocks, of half_diff and of partition.fock_2pt_fourier, log_A at the
+    points of s_kappa_regular and principal_branch_winding.  So the anchors
+    are the only branch datum of log A.
 
     The regularised kernel of a block is u(x) * v(y) * h(c0 + x - y), with
     u = exp(+kappa*log A) at the x-puncture, v = exp(-kappa*log A) at the
     y-puncture, h the core of theta_ratio_core and c0 in {0, w, -w} the
     offset between the puncture centres.  Their Taylor sequences are read
     on circles that the geometry alone fixes (see _taylor_circle), within
-    the radius of convergence R = min(D(q), dist(w, Lambda)) of all three:
-    u and v from one _log_A_circle per side, h at the three offsets from
-    one grid of the core.  So the blocks depend neither on r1, r2 nor on
-    quad_M.
+    the radius of convergence R of all three: u and v from log_A_circles
+    on one circle per side, h at the three offsets from one grid of the
+    core.  So the blocks depend neither on r1, r2 nor on quad_M.
 
     Row k and column l of a block do not depend on N (bit for bit while the
     Taylor circles keep their point counts, N <= 32), so a block is served
@@ -432,18 +390,68 @@ class _Surface:
     """
 
     def __init__(self, tau, w, n1, n2, alpha1, beta1, kappa):
-        lam, _, _ = nearest_lattice_point(w, tau)
-        self.R = min(lattice_min_distance(tau), abs(complex(w) - complex(lam)))
+        lam, self.m, _ = nearest_lattice_point(w, tau)
+        self.w0 = complex(w) - complex(lam)  # w reduced, w = w0 + 2*pi*i*(m*tau + n)
+        self.R = min(lattice_min_distance(tau), abs(self.w0))
         self.sew = SewingConfig(tau, w, 0.01 * self.R**2, branch_n1=n1, branch_n2=n2)
         self.tw = TwistConfig(alpha1, beta1, 0.0, kappa)
-        self.contours = {}
+        self.log_A_coeffs = (-1, None)  # (order, rows c of A_1, A_2), swapped in whole
         self.blocks = (0, None)  # (N, {(a, b): block}), swapped in whole
 
-    def contour(self, side, r, sign, quad_M):
-        if (side, r, quad_M) not in self.contours:
-            self.contours[side, r, quad_M] = _contour(side, r, quad_M, self.sew, self.tw)
-        pts, u = self.contours[side, r, quad_M]
-        return pts, u[sign]
+    def _log_A_series(self, side, x):
+        """Coefficients c_0..c_n of log A_side in t/R, summed wherever
+        |t| <= x*R.  c_k is of the size of 1/k (each logarithmic singularity
+        at distance R gives R^-k/k in t), so the tail beyond n is below
+        x^(n+1)/(1 - x), and n is the least order at which that is below
+        round-off, as _theta_range bounds a theta tail.  ValueError at
+        x >= 1, where the series diverges."""
+        if not x < 1.0:
+            raise ValueError(f"log A_{side} at |t| = {x:.4g} R, outside the disk |t| < R")
+        n = 0 if x == 0.0 else ceil((_LOG_EPS - log1p(-x)) / -log(x))
+        return self._log_A_taylor(n)[side - 1, : n + 1]
+
+    def log_A(self, side, t):
+        """log A_side at local points t (any shape) from its series."""
+        t = np.asarray(t, dtype=complex)
+        c = self._log_A_series(side, np.max(np.abs(t), initial=0.0) / self.R)
+        s = np.broadcast_to((t / self.R)[..., None], t.shape + (len(c) - 1,))
+        return c[0] + np.cumprod(s, axis=-1) @ c[1:]
+
+    def log_A_circles(self, side, radii, M):
+        """log A_side at t = r*exp(2*pi*i*j/M), j < M, one row per radius r
+        in radii: the series there is the inverse DFT of its terms
+        c_k (r/R)^k, taken at length L, the least multiple of M that holds
+        them all, and read at every (L/M)-th point."""
+        r = np.reshape(radii, (-1, 1)) / self.R
+        c = self._log_A_series(side, np.max(r))
+        L = M * -(-len(c) // M)
+        return L * np.fft.ifft(c * r ** np.arange(len(c)), L)[:, :: L // M]
+
+    def _log_A_taylor(self, n):
+        """Rows c_0..c_n (or more) of the Taylor coefficients of log A_1 and
+        log A_2 in t/R, c_k = b_k R^k, read anew only for a larger n; c_k is
+        of the size of 1/k for every R, where b_k would under- or overflow
+        at the orders that |t| near R needs.
+
+        One _log_theta1_circle grid at the centres 0 and w0 = w - lam, as in
+        determinants.build_R, gives a_k(0) R^k and a_k(w0) R^k, and
+        theta1(z + lam) = +-exp(-i*pi*m^2*tau - m*z) * theta1(z) for
+        lam = 2*pi*i*(m*tau + n) takes a_1(w) = a_1(w0) - m.  theta1 is
+        odd, so b_k = (-1)^k a_k(w) - a_k(0) for A_1 and a_k(0) - a_k(w) for
+        A_2, k >= 1; b_0 are the anchor logs.  The least circle gives 64
+        orders, which reach |t| = 0.56 R, so no fewer are read."""
+        n_read, c = self.log_A_coeffs
+        if n_read < n:
+            tau = self.sew.tau
+            n = max(n, _TAYLOR_M_LOG_THETA1 // 8)
+            vals, r = _log_theta1_circle(n, [0.0, self.w0], self.R, tau)
+            a = _taylor(vals, r / self.R)[: n + 1]
+            a[1, 1] -= self.m * self.R
+            c = np.stack([(-1.0) ** np.arange(n + 1) * a[:, 1] - a[:, 0], a[:, 0] - a[:, 1]])
+            # K(w) as prime_form_K takes it; w is off the lattice (SewingConfig)
+            c[:, 0] = _anchor_logs(self.sew, theta1(self.sew.w, tau) / theta1_prime0(tau))
+            self.log_A_coeffs = (n, c)
+        return c
 
     def block(self, a, bidx, N):
         n_built, blocks = self.blocks
@@ -461,7 +469,7 @@ class _Surface:
         M, r = _taylor_circle(2 * N, _TAYLOR_M_LOG_A, self.R)
         u, v = {}, {}
         for side in (1, 2):
-            _, loga = _log_A_circle(side, r, M, sew)
+            loga = self.log_A_circles(side, [r], M)[0]
             u[side], v[side] = _taylor(np.exp(np.outer(loga, (kap, -kap))), r).T
         M, r = _taylor_circle(2 * N, _TAYLOR_M_CORE, self.R)
         s = r * np.exp(2j * np.pi * np.arange(M) / M)
@@ -502,9 +510,9 @@ def _moment_block_cached(key):
 
 
 def _surface(sew, tw):
-    """The cached _Surface of the fields of (sew, tw) that contours and blocks
-    read: rho, log_rho, beta2 and B enter T only outside the blocks, and
-    half_diff keys its contours by radius, so r1 and r2 stay out too."""
+    """The cached _Surface of the fields of (sew, tw) that log A and the
+    blocks read: rho, log_rho, beta2 and B enter T only outside the blocks,
+    and r1, r2 only the radii of half_diff."""
     return _moment_block_cached((sew.tau, sew.w, sew.branch_n1, sew.branch_n2,
                                  tw.alpha1, tw.beta1, tw.kappa))
 
@@ -549,19 +557,18 @@ def half_diff(a, points, N, sew, tw, quad_M=256, bar=False):
         dbar_a(y, k) = (1/2*pi*i) oint x_abar^(-k_a) S_kappa(x_abar, y) dx_abar.
 
     The fractional part of the contour power is realised through the
-    branch-tracked puncture factor, the external point keeps its
-    principal-branch factor.  The branch factor is analytic on the disk of
-    radius R = min(D(q), dist(w, Lambda)) around the puncture, so the full
-    radius is r1 or r2 clipped to 2^(-64/quad_M) * R, where the contour
+    branch-tracked puncture factor exp(-+kappa*log A), with log A from the
+    Taylor series of the surface; the external point
+    keeps its principal-branch factor.  The full radius is r1 or r2 clipped
+    to 2^(-64/quad_M) * R, R = min(D(q), dist(w, Lambda)), where the contour
     aliases onto each order only the orders quad_M higher, 2^-64 smaller
     relative; at quad_M >= 64 the default radii 0.45 * R lie below it.
     Each point gets the circle of radius min(full radius, 0.7 * distance to
     the nearest lattice translate of the puncture), which keeps it clear of
-    the kernel pole; the points that share a radius are evaluated as one
-    product grid and one FFT along the contour.  The full-radius circle
-    comes from the surface cache (see _Surface), a smaller one is built on
-    the spot.  Each grid checks every pair against the lattice (see
-    theta_ratio_core).
+    the kernel pole.  log A on all these circles is one sum of the series
+    (see _Surface.log_A_circles); the points that share a radius are
+    evaluated as one product grid and one FFT along the contour.  Each grid
+    checks every pair against the lattice (see theta_ratio_core).
 
     `points` is a scalar (returns a length-N vector) or a 1-d array (returns
     an array of shape (len(points), N)).
@@ -574,20 +581,15 @@ def half_diff(a, points, N, sew, tw, quad_M=256, bar=False):
     radii = np.minimum(r_full, 0.7 * puncture_distance(pts, side, sew))
     if np.any(radii <= 0):
         raise ValueError("external point coincides with the puncture")
-    if bar:
-        ext = external_y_factor(pts, sew, tw)
-    else:
-        ext = external_x_factor(pts, sew, tw)
+    ext = (external_y_factor if bar else external_x_factor)(pts, sew, tw)
     k = np.arange(1, N + 1, dtype=float)
     out = np.empty((pts.size, N), dtype=complex)
     sign = +1 if bar else -1
-    for r in np.unique(radii):
+    rs = np.unique(radii)
+    t = rs[:, None] * np.exp(2j * np.pi * np.arange(quad_M) / quad_M)
+    us = np.exp(sign * tw.kappa * surface.log_A_circles(side, rs, quad_M))
+    for r, c, u in zip(rs, t + puncture_center(side, sew), us):
         sel = radii == r
-        if r == r_full:
-            c, u = surface.contour(side, r, sign, quad_M)
-        else:  # a clipped radius is built on the spot
-            c, u = _contour(side, r, quad_M, sew, tw)
-            u = u[sign]
         if bar:
             f = theta_ratio_core(c[:, None], pts[None, sel], sew, tw, u, ext[sel]).T
         else:

@@ -38,3 +38,15 @@ def test_workload_runs_and_passes_its_checks(workloads, name, tmp_path):
     assert checks
     failed = [(c.name, c.deviation, c.tolerance) for c in checks if not c.ok]
     assert not failed
+
+
+def test_reset_caches_finds_the_surface_cache(workloads):
+    # partition_cold runs cold only while reset_caches() and cache_misses()
+    # find the surface cache under its name; a rename would turn it warm
+    from sewkernel import SewingConfig, TwistConfig, build_T, szego
+
+    build_T(4, SewingConfig(0.3 + 1.1j, 0.5 + 2.2j, 1e-3), TwistConfig(0.1, 0.2, 0.0, 0.1), 64)
+    assert szego._moment_block_cached.cache_info().currsize > 0
+    workloads.reset_caches()
+    assert szego._moment_block_cached.cache_info().currsize == 0
+    assert isinstance(workloads.cache_misses()[0], int)

@@ -6,6 +6,7 @@ T against a per-pair evaluation of the moment grids."""
 import numpy as np
 import pytest
 
+from conftest import log_A_radial
 from sewkernel import SewingConfig, TwistConfig, lattice_min_distance, nearest_lattice_point
 from sewkernel import szego
 from sewkernel.elliptic import _check_off_lattice, prime_form_K, theta_char_g1
@@ -88,8 +89,10 @@ def test_T_matches_per_pair_moment_grids(tau, w, monkeypatch):
         xside, yside = 3 - a, bidx
         rx = sew.r1 if xside == 1 else sew.r2
         ry = 0.8 * rx if xside == yside else (sew.r1 if yside == 1 else sew.r2)
-        tx, lx = szego._log_A_circle(xside, rx, quad_M, sew)
-        ty, ly = szego._log_A_circle(yside, ry, quad_M, sew)
+        circle = np.exp(TWO_PI_I * np.arange(quad_M) / quad_M)
+        tx, ty = rx * circle, ry * circle
+        # log A continued along rays, apart from the series of the package
+        lx, ly = log_A_radial(xside, tx, sew), log_A_radial(yside, ty, sew)
         x = (tx + szego.puncture_center(xside, sew))[:, None]
         y = (ty + szego.puncture_center(yside, sew))[None, :]
         c = tw.kappa * sew.w

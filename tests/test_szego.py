@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import A_values, log_A_radial
 from sewkernel import (
     SewingConfig,
     TwistConfig,
@@ -16,12 +17,12 @@ from sewkernel import (
     s_kappa,
     szego,
 )
+from sewkernel.elliptic import eisenstein, weierstrass_P
 from sewkernel.szego import (
-    _log_A_circle,
-    _log_A_radial,
     build_T,
     half_diff,
     mode_offset,
+    principal_branch_winding,
     puncture_center,
     rho_half_powers,
     s_kappa_regular,
@@ -158,35 +159,76 @@ def test_s_kappa_coincidence_guard(sew, tw):
 # ------------------------------------------------------------------ branches
 
 
-def test_log_A_radial_matches_principal_near_center(sew):
-    # [TRIVIAL] short radial continuation stays on the principal branch
-    from sewkernel.szego import _A_values
-
+def test_log_A_matches_principal_near_center(sew, tw):
+    # [TRIVIAL] near the centre the series stays on the principal branch
+    surface = szego._surface(sew, tw)
+    t = np.array([0.01 + 0.005j])
     for side in (1, 2):
-        t = np.array([0.01 + 0.005j])
-        la = _log_A_radial(side, t, sew)[0]
-        assert abs(la - np.log(_A_values(side, t, sew)[0])) < 1e-9
+        assert abs(surface.log_A(side, t)[0] - np.log(A_values(side, t, sew)[0])) < 1e-12
 
 
-def test_log_A_circle_continuous_and_anchored(sew):
+@pytest.mark.parametrize(
+    "frac, tol", [(0.45, 2e-14), (0.84, 5e-14), (0.917, 1e-13), (0.957, 1.2e-13)]
+)
+def test_log_A_on_circles_matches_the_radial_reference(frac, tol, tw):
+    # the Taylor series of log A, summed pointwise and by the inverse FFT of
+    # log_A_circles, against A continued along the rays from the centre, on
+    # circles out to 0.957 R, where the series sums about 900 orders (more
+    # than the 256 points, so the FFT folds them); w lies in the cells
+    # around the central one, where a_1(w) takes the quasi-periodicity
+    # shift -m, and the windings are random (worst 7.9e-15, 2.2e-14, 4.0e-14
+    # and 4.7e-14: both sides sum theta1 at |w| up to 12)
+    rng = np.random.default_rng(73)
+    for _ in range(6):
+        tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 1.5))
+        m, n = rng.integers(-1, 2, size=2)
+        w = TWO_PI_I * ((m + rng.uniform(0.15, 0.85)) * tau + n + rng.uniform(0.15, 0.85))
+        n1, n2 = (int(k) for k in rng.integers(-2, 3, size=2))
+        sew = SewingConfig(tau, w, 1e-5, branch_n1=n1, branch_n2=n2)
+        surface = szego._surface(sew, tw)
+        r = frac * surface.R
+        t = r * np.exp(TWO_PI_I * np.arange(256) / 256)
+        for side in (1, 2):
+            ref = log_A_radial(side, t, sew)
+            assert np.max(np.abs(surface.log_A(side, t) - ref)) < tol
+            assert np.max(np.abs(surface.log_A_circles(side, [r], 256)[0] - ref)) < tol
+
+
+def test_log_A_coefficients_are_eisenstein_minus_weierstrass(tw):
+    # [DERIVED] log A_1 = anchor_1 + sum_n (E_n - P_n(w)) t^n / n and
+    # log A_2 = anchor_2 - sum_n (E_n - (-1)^n P_n(w)) t^n / n; the surface
+    # holds the coefficients of t/R, those times R^n
+    tau = 0.2 + 1.15j
+    n = np.arange(2, 9)
+    for w in (W, W + TWO_PI_I * (tau - 1.0), W - TWO_PI_I * 2.0 * tau):
+        surface = szego._surface(SewingConfig(tau, w, 1e-4), tw)
+        c = surface._log_A_taylor(8)[:, 2:9]
+        E = np.array([eisenstein(k, tau) for k in n])
+        P = np.array([weierstrass_P(k, w, tau) for k in n])
+        scale = surface.R**n / n
+        assert np.max(np.abs(c[0] - (E - P) * scale)) < 1e-15  # 3.3e-16
+        assert np.max(np.abs(c[1] + (E - (-1.0) ** n * P) * scale)) < 1e-15
+
+
+def test_log_A_raises_outside_its_disk(tw):
+    # before, the radial continuation ran through the zero of A_1 at t = w,
+    # and s_kappa_regular returned 0.1153-0.4218i here
+    sew = SewingConfig(0.1 + 1.2j, 1.3 + 1.0j, 1e-4)
+    with pytest.raises(ValueError, match="outside the disk"):
+        s_kappa_regular(1.2 * sew.w, 0.1, 1, 1, sew, tw)
+    R = szego._surface(sew, tw).R
     for side in (1, 2):
-        r = 0.5 * (sew.r1 if side == 1 else sew.r2)
-        t, la = _log_A_circle(side, r, 128, sew)
-        # exp recovers A exactly and the imaginary part is continuous
-        from sewkernel.szego import _A_values
-
-        assert np.max(np.abs(np.exp(la) - _A_values(side, t, sew))) < 1e-10
-        assert np.max(np.abs(np.diff(la.imag))) < 0.5
-        anchor = _log_A_radial(side, t[:1], sew)[0]
-        assert abs(la[0] - anchor) < 1e-12
+        with pytest.raises(ValueError, match="outside the disk"):
+            principal_branch_winding(side, 1.01 * R * np.exp(0.3j), sew, tw)
+        assert principal_branch_winding(side, 0.9 * R * np.exp(0.3j), sew, tw) in (-1, 0, 1)
 
 
-def test_branch_winding_offsets_shift_log():
+def test_branch_winding_offsets_shift_log(tw):
     sew0 = SewingConfig(TAU, W, 1e-3)
     sew1 = SewingConfig(TAU, W, 1e-3, branch_n1=1, branch_n2=-2)
     t = np.array([0.05 + 0.02j])
     for side, n in ((1, 1), (2, -2)):
-        d = _log_A_radial(side, t, sew1)[0] - _log_A_radial(side, t, sew0)[0]
+        d = szego._surface(sew1, tw).log_A(side, t)[0] - szego._surface(sew0, tw).log_A(side, t)[0]
         assert abs(d - TWO_PI_I * n) < 1e-12
 
 
@@ -279,25 +321,33 @@ def test_moment_block_sums_the_tail_bound_terms_only(tw, monkeypatch):
     assert sizes and max(sizes) <= 13
 
 
-def test_surface_builds_each_contour_once(sew, tw, monkeypatch):
-    # the four blocks read one Taylor circle per side, at half the radius of
-    # convergence whatever r1 and r2; half_diff builds its full-radius
-    # contour once and reuses it, and builds a clipped radius anew
+def test_surface_reads_log_theta1_once(sew, tw, monkeypatch):
+    # the series of log A_1 and log A_2 come from one log theta1 grid per
+    # surface, of 64 orders, which reach 0.56 R: the blocks at two quad_M,
+    # half_diff at the full and a clipped radius on both sides and the
+    # pointwise readers read none; only a radius that needs more orders
+    # reads a longer series, once
     szego._moment_block_cached.cache_clear()
     calls = []
-    log_a = szego._log_A_circle
-    monkeypatch.setattr(szego, "_log_A_circle", lambda *a: calls.append(a[:3]) or log_a(*a))
+    read = szego._log_theta1_circle
+    monkeypatch.setattr(szego, "_log_theta1_circle", lambda *a: calls.append(a[0]) or read(*a))
     s = SewingConfig(sew.tau, sew.w, sew.rho, r1=0.9 * sew.r1)
     build_T(8, s, tw, quad_M=64)
-    R = szego._surface(s, tw).R
-    assert sorted(calls) == [(1, 0.5 * R, 64), (2, 0.5 * R, 64)]
+    assert calls == [64]
     build_T(8, s, tw, quad_M=128)
     half_diff(1, 1.1 + 0.9j, 8, s, tw, quad_M=64)
-    half_diff(2, 1.1 + 0.9j, 8, s, tw, quad_M=64, bar=True)  # also side 1
-    half_diff(1, 1.1 + 0.9j, 8, s, tw, quad_M=64)
-    assert calls[2:] == [(1, s.r1, 64)]
+    half_diff(2, 1.1 + 0.9j, 8, s, tw, quad_M=256, bar=True)  # also side 1
+    half_diff(2, 1.1 + 0.9j, 8, s, tw, quad_M=256)
     half_diff(1, 0.2 * s.r1, 8, s, tw, quad_M=64)  # clipped to 0.14 * r1
-    assert len(calls) == 4 and calls[-1][1] < s.r1
+    s_kappa_regular(0.3 * s.r1, 0.2 * s.r2, 1, 2, s, tw)
+    principal_branch_winding(2, 0.3 * s.r2, s, tw)
+    assert calls == [64]
+    R = szego._surface(s, tw).R
+    wide = SewingConfig(sew.tau, sew.w, sew.rho, r1=0.8 * R)
+    far = np.pi * 1j * (sew.tau + 1.0)  # 1.8 R from every lattice point
+    half_diff(1, far, 8, wide, tw, quad_M=256)  # 0.8 R needs 169 orders
+    half_diff(1, 1.1 + 0.9j, 8, s, tw, quad_M=64)
+    assert calls == [64, 169]
 
 
 def test_surface_is_keyed_on_the_rho_free_geometry(sew, tw, monkeypatch):
@@ -330,8 +380,6 @@ def test_transport_by_C_builds_one_surface(tw):
 def test_half_diff_reconstructs_kernel(sew, tw):
     # [DERIVED] sum_k d_a(x, k) y^{k_a - 1} = S_kappa(x, y) for y inside the
     # extraction circle (with the branch-tracked puncture factor on y)
-    from sewkernel.szego import _log_A_radial as lar
-
     N = 28
     x = 1.1 + 0.9j
     for a in (1, 2):
@@ -341,7 +389,7 @@ def test_half_diff_reconstructs_kernel(sew, tw):
         k = np.arange(1, N + 1)
         series = (d * y_loc ** (k - 1)).sum()
         # undo the regularising y-factor to compare with the pointwise kernel
-        uy = np.exp(-tw.kappa * lar(a, np.array([y_loc]), sew)[0])
+        uy = np.exp(-tw.kappa * log_A_radial(a, np.array([y_loc]), sew)[0])
         target = s_kappa(x, y_loc + center, sew, tw)
         from sewkernel.szego import external_y_factor
 
@@ -353,8 +401,6 @@ def test_half_diff_bar_consistent_with_moments(sew, tw):
     # [DERIVED] expanding half_diff(a, y, bar=True) in y around puncture b recovers
     # the moment matrix column structure: dbar_a(y, k) = sum_l C_ab(k, l)
     # y_loc^{l-1} * (regularising factor)
-    from sewkernel.szego import _log_A_radial as lar
-
     N = 20
     # pick a block whose x-contour is at the other puncture than y, so the
     # Cauchy part of the kernel contributes nothing to the extraction
@@ -365,7 +411,7 @@ def test_half_diff_bar_consistent_with_moments(sew, tw):
     db = half_diff(a, y_loc + center, N, sew, tw, quad_M=256, bar=True)
     k = np.arange(1, N + 1)
     series = C @ (y_loc ** (k - 1))
-    uy = np.exp(-tw.kappa * lar(bidx, np.array([y_loc]), sew)[0])
+    uy = np.exp(-tw.kappa * log_A_radial(bidx, np.array([y_loc]), sew)[0])
     from sewkernel.szego import external_y_factor
 
     scale = uy / external_y_factor(y_loc + center, sew, tw)
