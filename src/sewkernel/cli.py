@@ -64,6 +64,13 @@ def _as_complex(v, name):
     raise ConfigError(f"bad complex value for {name}: {v!r}")
 
 
+def _complex_list(params, name):
+    values = params[name]
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list of complex values, got {values!r}")
+    return [_as_complex(v, name) for v in values]
+
+
 def _c_out(z):
     z = complex(z)
     return {"re": z.real, "im": z.imag}
@@ -168,12 +175,10 @@ def _eval_target(target, params):
         value = fock_sum_oracle(float(params.get("W", 3)), sew, tw, quad_M)
         meta["W"] = float(params.get("W", 3))
     elif target == "gen1_form":
-        xs = [_as_complex(v, "xs") for v in params["xs"]]
-        ys = [_as_complex(v, "ys") for v in params["ys"]]
+        xs, ys = _complex_list(params, "xs"), _complex_list(params, "ys")
         value = gen1_form(xs, ys, sew, tw)
     elif target == "gen2_form":
-        xs = [_as_complex(v, "xs") for v in params["xs"]]
-        ys = [_as_complex(v, "ys") for v in params["ys"]]
+        xs, ys = _complex_list(params, "xs"), _complex_list(params, "ys")
         value = gen2_form(xs, ys, sew, tw, N, quad_M)
     else:
         raise ConfigError(f"unknown eval target {target!r}")
@@ -193,8 +198,7 @@ def _check_target(target, params, tolerance):
     trace = []
     if target == "frobenius":
         tau = _as_complex(params["tau"], "tau")
-        xs = [_as_complex(v, "xs") for v in params["xs"]]
-        ys = [_as_complex(v, "ys") for v in params["ys"]]
+        xs, ys = _complex_list(params, "xs"), _complex_list(params, "ys")
         residual = frobenius_residual(
             xs, ys, float(params.get("alpha1", 0.0)), float(params.get("beta1", 0.0)), tau
         )
@@ -215,8 +219,11 @@ def _check_target(target, params, tolerance):
         )
         trace.append({"multiplier_exponent_sign": sign})
     elif target == "invariance":
+        generator = params.get("generator", "T")
+        if not isinstance(generator, str):
+            raise ConfigError(f"generator must be a string, got {generator!r}")
         try:
-            g = GroupElement.from_string(params.get("generator", "T"))
+            g = GroupElement.from_string(generator)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         chi_scale = complex(float(params.get("chi_scale", 1.0)))
@@ -276,11 +283,13 @@ def _sweep(cfg):
     target = cfg.get("target")
     params = cfg.get("parameters", {})
     sweep = cfg.get("sweep")
-    if not sweep or "axes" not in sweep or not sweep["axes"]:
+    axes = sweep.get("axes") if isinstance(sweep, dict) else None
+    if not isinstance(axes, list) or not axes:
         raise ConfigError("sweep command requires a non-empty sweep.axes list")
-    axes = sweep["axes"]
     if len(axes) > 2:
         raise ConfigError("at most two sweep axes are supported")
+    if not all(isinstance(ax, dict) and isinstance(ax.get("name"), str) for ax in axes):
+        raise ConfigError(f"each sweep axis must be an object with a string name, got {axes!r}")
     grids = [(_ax["name"], _axis_values(_ax)) for _ax in axes]
     points = [[v] for v in grids[0][1]]
     if len(grids) == 2:
@@ -375,10 +384,14 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read config: {exc}", args.out, args.format)
 
+    if not isinstance(cfg, dict):
+        return _fail("config must be a JSON object", args.out, args.format)
     target = cfg.get("target")
     if not target:
         return _fail("config is missing 'target'", args.out, args.format)
     params = cfg.get("parameters", {})
+    if not isinstance(params, dict):
+        return _fail("'parameters' must be a JSON object", args.out, args.format)
     t0 = time.perf_counter()
     try:
         if args.command == "eval":

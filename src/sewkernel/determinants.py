@@ -13,14 +13,8 @@ from math import comb
 
 import numpy as np
 
-from .elliptic import (
-    _log_theta1_taylor,
-    eisenstein,
-    lattice_min_distance,
-    nearest_lattice_point,
-    weierstrass_P,
-)
-from .szego import _check_order
+from .elliptic import _taylor, eisenstein, weierstrass_P
+from .szego import _check_order, _geometry
 
 
 @dataclass(frozen=True)
@@ -102,14 +96,15 @@ def build_R(N, sew):
     E_m and P_m(tau, w), m <= 2N, are the Taylor coefficients
     -m * [s^m] log(theta1(s)/s) and (-1)^(m+1) * m * [s^m] log theta1(w + s)
     (see elliptic.eisenstein and elliptic.weierstrass_P), read at the
-    centres 0 and w from one grid on a circle inside the zero-free disk of
-    radius min(D(q), dist(w, Lambda)) of both.
+    centres 0 and w0 from the log theta1 grid of szego._Geometry, which
+    the moment blocks on (tau, w) share.  For N <= 32 that grid is the one
+    2N orders alone read, so R is bit-identical whether or not a surface
+    read it first; grown for more orders (half_diff near R), it moves R by
+    less than 1e-15 of its largest entry.
     """
     N = _check_order(N)
-    tau = sew.tau
-    lam, _, _ = nearest_lattice_point(sew.w, tau)
-    w = complex(sew.w) - complex(lam)
-    a = _log_theta1_taylor(2 * N, [0.0, w], min(lattice_min_distance(tau), abs(w)), tau)
+    vals, r = _geometry(sew.tau, sew.w).log_theta1_circle(2 * N)
+    a = _taylor(vals, r)[: 2 * N + 1]
     m = np.arange(2 * N + 1)
     E = -m * a[:, 0]
     E[1::2] = 0.0  # E_m vanishes at odd m

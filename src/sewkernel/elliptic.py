@@ -37,9 +37,10 @@ _taylor): on a circle of M points inside the disk of analyticity, the
 trapezoid rule aliases onto order n only the orders n + M, n + 2M, ...,
 so its error decays geometrically in M (Trefethen & Weideman, SIAM Rev. 56,
 2014).  The Eisenstein series E_k and the Weierstrass-type functions P_m
-are such coefficients of log theta1, read from one theta grid for any
-number of orders and centres (see _log_theta1_circle and
-_log_theta1_taylor).
+are such coefficients of log theta1, read by _taylor from one theta grid
+for any number of orders and centres (see _log_theta1_circle); order n
+carries at most 2^(64n/M) <= 2^8 times the round-off eps/r^n of the
+radius r of that grid itself.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def dedekind_eta(tau):
     return np.exp(TWO_PI_I * tau / 24.0) * total
 
 
-# Least point count M of the circles of _log_theta1_taylor
+# Least point count M of the circles of _log_theta1_circle
 _TAYLOR_M_LOG_THETA1 = 512
 
 
@@ -296,14 +297,6 @@ def _log_theta1_circle(n, centres, R, tau):
     return np.log(np.abs(vals)) + 1j * ang[:-1], r
 
 
-def _log_theta1_taylor(n, centres, R, tau):
-    """Taylor coefficients a_0..a_n in s of the columns of _log_theta1_circle,
-    as an (n + 1) x len(centres) array: order n carries at most
-    2^(64n/M) <= 2^8 times the round-off eps/r^n of the radius r itself."""
-    vals, r = _log_theta1_circle(n, centres, R, tau)
-    return _taylor(vals, r)[: n + 1]
-
-
 def eisenstein(k, tau):
     """Eisenstein series E_k(tau) in the normalisation fixed by the
     Laurent expansion of the Weierstrass-type function P_2 (see
@@ -314,7 +307,7 @@ def eisenstein(k, tau):
     Lambda for even k >= 4, and E_k = 0 for odd k.  Since
     P_2 = -d^2/dz^2 log K, log K(z) = log z - sum_{k>=2} E_k z^k / k, and
     E_k = -k * [s^k] log(theta1(s)/s) is read on a circle inside the
-    zero-free disk |s| < D(q) (see _log_theta1_taylor).
+    zero-free disk |s| < D(q) (see _log_theta1_circle).
 
     E_k is of the size of D(q)^(-k), the term of the shortest lattice
     vectors.  Where that lies below the normal range of a double
@@ -332,7 +325,7 @@ def eisenstein(k, tau):
             f"eisenstein: E_{k} is of the size of D(q)^-{k} = exp({-k * log(D):.1f}), "
             "below the normal range of a double"
         )
-    a = _log_theta1_taylor(k, [0.0], D, tau)
+    a = _taylor(*_log_theta1_circle(k, [0.0], D, tau))
     return complex(-k * a[k, 0])
 
 
@@ -348,7 +341,7 @@ def weierstrass_P(m, z, tau):
     Since P_2 = -d^2/dz^2 log theta1, P_m(z) = (-1)^(m+1) * m *
     [s^m] log theta1(z + s), read on a circle inside the zero-free disk
     |s| < dist(z, Lambda) around z reduced modulo the lattice (see
-    _log_theta1_taylor).
+    _log_theta1_circle).
     """
     _check_tau(tau)
     if m < 2:
@@ -357,7 +350,7 @@ def weierstrass_P(m, z, tau):
     z = complex(z) - complex(lam)
     if abs(z) < 1e-12 * lattice_min_distance(tau):
         raise ValueError("weierstrass_P evaluated at a lattice point")
-    a = _log_theta1_taylor(m, [z], abs(z), tau)
+    a = _taylor(*_log_theta1_circle(m, [z], abs(z), tau))
     return complex((-1) ** (m + 1) * m * a[m, 0])
 
 

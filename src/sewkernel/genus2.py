@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import nearest_lattice_point
 from .szego import (
+    _geometry,
     build_T,
     half_diff,
     principal_branch_winding,
@@ -53,9 +53,9 @@ def domain_check(tau, w, rho):
     """
     if np.imag(tau) <= 0 or rho == 0:
         return False, -np.inf, None
-    lam, _, _ = nearest_lattice_point(w, tau)
-    margin = float(abs(w - lam) - 2.0 * np.sqrt(abs(rho)))
-    return margin > 0.0, margin, complex(lam)
+    w0 = _geometry(tau, w).w0
+    margin = float(abs(w0) - 2.0 * np.sqrt(abs(rho)))
+    return margin > 0.0, margin, complex(w) - w0
 
 
 def h_rows(points, N, sew, tw, quad_M=256, bar=False):

@@ -35,9 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import dedekind_eta, prime_form_K, theta_char_g1
+from .elliptic import dedekind_eta, theta_char_g1
 from .determinants import det_I_minus
-from .szego import SewingConfig, _anchor_logs, build_T
+from .szego import SewingConfig, _anchor_logs, _geometry, build_T
 
 TWO_PI_I = 2j * np.pi
 
@@ -105,7 +105,7 @@ class GroupElement:
 def lhat(sew):
     """The lifted logarithm log(-rho / K(w)^2) on the sheet fixed by the
     carried branches: log_rho plus the anchor log of A_2 minus that of A_1."""
-    anc1, anc2 = _anchor_logs(sew, prime_form_K(sew.w, sew.tau))
+    anc1, anc2 = _anchor_logs(sew, _geometry(sew.tau, sew.w).K)
     return complex(sew.log_rho + anc2 - anc1)
 
 
@@ -154,9 +154,10 @@ def _act_point_one(name, power, sew):
         # * exp(-shift/2); log K moves on the same branch of log(den) as
         # log(rho)
         dlogK = -log_den - 0.5 * shift
-    # the anchor logs move with log K, so lhat moves by exactly shift
-    anc1, anc2 = _anchor_logs(sew, prime_form_K(w, tau))
-    K2 = prime_form_K(w2, tau2)
+    # the anchor logs move with log K, so lhat moves by exactly shift; K at
+    # both ends is that of the geometry, which the image config then shares
+    anc1, anc2 = _anchor_logs(sew, _geometry(tau, w).K)
+    K2 = _geometry(tau2, w2).K
     n1 = _round_winding((anc1 + dlogK - np.log(-K2)) / TWO_PI_I, "anchor-1")
     n2 = _round_winding((anc2 - dlogK - np.log(1.0 / K2)) / TWO_PI_I, "anchor-2")
     return SewingConfig(

@@ -19,6 +19,7 @@ from .elliptic import (
 from .determinants import det_I_minus, det_inv_sqrt_I_minus_R
 from .genus2 import s2_eval
 from .szego import (
+    _geometry,
     _surface,
     build_T,
     moment_block,
@@ -91,7 +92,7 @@ def z1_twisted_2pt(sew, tw):
     (principal branch of the K-power)."""
     tau, w, kap = sew.tau, sew.w, tw.kappa
     val = theta_char_g1(tw.alpha1, tw.beta1, kap * w, tau)
-    val /= dedekind_eta(tau) * prime_form_K(w, tau) ** (kap**2)
+    val /= dedekind_eta(tau) * _geometry(tau, w).K ** (kap**2)
     return complex(val)
 
 
@@ -387,7 +388,7 @@ def triple_product_residual(sew, tw, N=16, quad_M=256, Omega=None):
     pref *= np.exp(
         0.5
         * kap**2
-        * (1j * np.pi * tw.B + sew.log_rho - 2.0 * np.log(prime_form_K(sew.w, sew.tau)))
+        * (1j * np.pi * tw.B + sew.log_rho - 2.0 * np.log(_geometry(sew.tau, sew.w).K))
     )
     pref *= theta_char_g1(tw.alpha1, tw.beta1, kap * sew.w, sew.tau)
     lhs = theta_char_g2((tw.alpha1, kap), (tw.beta1, tw.beta2), Omega)

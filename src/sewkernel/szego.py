@@ -20,6 +20,9 @@ two puncture factors and the core of theta_ratio_core, whose Laurent
 coefficients are the twisted Eisenstein data of Tuite & Zuevsky (Comm.
 Math. Phys. 306, 2011); see _Surface.  Contour extractions around the
 punctures, on the circles of radii r1, r2, remain only in half_diff.
+What (tau, w) alone fixes, the lattice reduction of w, R, K(w) and the
+log theta1 grid of those coefficients, is one _Geometry per (tau, w), which
+the surfaces, determinants.build_R and the modular layer read.
 
 Branch convention.  Every fractional power attached to a puncture is realised
 as exp(+/- kappa * log A_c(t)) where A_1(t) = t*theta1(t-w)/theta1(t),
@@ -39,7 +42,7 @@ SewingConfig.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, comb, log, log1p
 
 import numpy as np
@@ -152,12 +155,10 @@ class SewingConfig:
             raise ValueError("tau must lie in the upper half plane")
         if self.rho == 0:
             raise ValueError("rho must be non-zero")
-        D = lattice_min_distance(self.tau)
-        lam, _, _ = nearest_lattice_point(self.w, self.tau)
-        dw = abs(complex(self.w) - complex(lam))
-        if dw < 1e-12 * D:
+        g = _geometry(self.tau, self.w)
+        if abs(g.w0) < 1e-12 * g.D:
             raise ValueError("w must not lie on the lattice")
-        r_default = 0.45 * min(dw, D)
+        r_default = 0.45 * g.R
         if self.r1 is None:
             object.__setattr__(self, "r1", r_default)
         if self.r2 is None:
@@ -178,10 +179,6 @@ class SewingConfig:
     def rho_pow(self, e):
         """rho**e on the branch fixed by log_rho."""
         return np.exp(e * self.log_rho)
-
-    @property
-    def D_q(self):
-        return lattice_min_distance(self.tau)
 
 
 def _anchor_logs(sew, K):
@@ -256,7 +253,8 @@ def theta_ratio_core(x, y, sew, tw, wx=None, wy=None):
 
 
 def _check_coincidence(x, y, sew):
-    if np.any(np.abs(np.asarray(x) - np.asarray(y)) < COINCIDENCE_RTOL * sew.D_q):
+    D = _geometry(sew.tau, sew.w).D
+    if np.any(np.abs(np.asarray(x) - np.asarray(y)) < COINCIDENCE_RTOL * D):
         raise ValueError("kernel evaluated at coincident points (simple pole)")
 
 
@@ -353,14 +351,48 @@ _TAYLOR_M_LOG_A = 64
 _TAYLOR_M_CORE = 512
 
 
+class _Geometry:
+    """What (tau, w) fixes for every twist and winding: w0 = w - lam for
+    the lattice point lam = 2*pi*i*(m*tau + n) nearest to w, m, D(q),
+    R = min(D(q), |w0|), K(w) = theta1(w)/theta1'(0) as prime_form_K takes
+    it, and the _log_theta1_circle grid at the centres 0 and w0, read anew
+    only for more orders.  The E_k and P_k(w) of determinants.build_R and
+    the log A series of every _Surface on (tau, w) come from that grid.
+    K is summed on first use: theta1 at w itself overflows far off the
+    central cell, where R still holds, since it reads w0 only.
+    """
+
+    def __init__(self, tau, w):
+        lam, self.m, _ = nearest_lattice_point(w, tau)
+        self.tau, self.w = tau, w
+        self.w0 = complex(w) - complex(lam)
+        self.D = lattice_min_distance(tau)
+        self.R = min(self.D, abs(self.w0))
+        self.circle = (np.empty((0, 2)), None)  # (values, r), swapped in whole
+
+    @cached_property
+    def K(self):
+        return theta1(self.w, self.tau) / theta1_prime0(self.tau)
+
+    def log_theta1_circle(self, n):
+        """(values, r) of the log theta1 grid, with at least the M >= 8n
+        points that _log_theta1_circle reads for n orders."""
+        vals, r = self.circle
+        if len(vals) < 8 * n:
+            vals, r = _log_theta1_circle(n, [0.0, self.w0], self.R, self.tau)
+            self.circle = (vals, r)
+        return vals, r
+
+
 class _Surface:
-    """Cached state of one rho-free geometry, the key (tau, w, branch_n1,
-    branch_n2, alpha1, beta1, kappa) of _surface: the Taylor coefficients of
-    log A_1 and log A_2 at the puncture centre and the four moment blocks,
-    each at the largest order asked for so far.  Every series in them is
-    summed over its tail-bound range, so no accuracy setting enters the key.
-    Its sew and tw carry the default radii, an admissible rho and
-    beta2 = 0, read by nothing.
+    """Cached state of one rho-free twisted surface, the key (tau, w,
+    branch_n1, branch_n2, alpha1, beta1, kappa) of _surface, on the
+    _Geometry of its (tau, w): the Taylor coefficients of log A_1 and
+    log A_2 at the puncture centre and the four moment blocks, each at the
+    largest order asked for so far.  Every series in them is summed over
+    its tail-bound range, so no accuracy setting enters the key.  Its sew
+    and tw carry the default radii, an admissible rho and beta2 = 0, read
+    by nothing.
 
     The puncture factors A_1, A_2 are analytic and zero-free on |t| < R =
     min(D(q), dist(w, Lambda)).  With the E_n and P_n(w) of
@@ -389,11 +421,9 @@ class _Surface:
     twice; each call returns what it built or found.
     """
 
-    def __init__(self, tau, w, n1, n2, alpha1, beta1, kappa):
-        lam, self.m, _ = nearest_lattice_point(w, tau)
-        self.w0 = complex(w) - complex(lam)  # w reduced, w = w0 + 2*pi*i*(m*tau + n)
-        self.R = min(lattice_min_distance(tau), abs(self.w0))
-        self.sew = SewingConfig(tau, w, 0.01 * self.R**2, branch_n1=n1, branch_n2=n2)
+    def __init__(self, g, n1, n2, alpha1, beta1, kappa):
+        self.geometry, self.R = g, g.R
+        self.sew = SewingConfig(g.tau, g.w, 0.01 * self.R**2, branch_n1=n1, branch_n2=n2)
         self.tw = TwistConfig(alpha1, beta1, 0.0, kappa)
         self.log_A_coeffs = (-1, None)  # (order, rows c of A_1, A_2), swapped in whole
         self.blocks = (0, None)  # (N, {(a, b): block}), swapped in whole
@@ -433,23 +463,22 @@ class _Surface:
         of the size of 1/k for every R, where b_k would under- or overflow
         at the orders that |t| near R needs.
 
-        One _log_theta1_circle grid at the centres 0 and w0 = w - lam, as in
-        determinants.build_R, gives a_k(0) R^k and a_k(w0) R^k, and
-        theta1(z + lam) = +-exp(-i*pi*m^2*tau - m*z) * theta1(z) for
-        lam = 2*pi*i*(m*tau + n) takes a_1(w) = a_1(w0) - m.  theta1 is
-        odd, so b_k = (-1)^k a_k(w) - a_k(0) for A_1 and a_k(0) - a_k(w) for
-        A_2, k >= 1; b_0 are the anchor logs.  The least circle gives 64
-        orders, which reach |t| = 0.56 R, so no fewer are read."""
+        The log theta1 grid of the geometry at the centres 0 and w0 gives
+        a_k(0) R^k and a_k(w0) R^k, and theta1(z + lam) = +-exp(-i*pi*m^2*tau
+        - m*z) * theta1(z) for lam = 2*pi*i*(m*tau + n) takes a_1(w) =
+        a_1(w0) - m.  theta1 is odd, so b_k = (-1)^k a_k(w) - a_k(0) for A_1
+        and a_k(0) - a_k(w) for A_2, k >= 1; b_0 are the anchor logs of K(w).
+        The least circle gives 64 orders, which reach |t| = 0.56 R, so no
+        fewer are read."""
         n_read, c = self.log_A_coeffs
         if n_read < n:
-            tau = self.sew.tau
+            g = self.geometry
             n = max(n, _TAYLOR_M_LOG_THETA1 // 8)
-            vals, r = _log_theta1_circle(n, [0.0, self.w0], self.R, tau)
+            vals, r = g.log_theta1_circle(n)
             a = _taylor(vals, r / self.R)[: n + 1]
-            a[1, 1] -= self.m * self.R
+            a[1, 1] -= g.m * self.R
             c = np.stack([(-1.0) ** np.arange(n + 1) * a[:, 1] - a[:, 0], a[:, 0] - a[:, 1]])
-            # K(w) as prime_form_K takes it; w is off the lattice (SewingConfig)
-            c[:, 0] = _anchor_logs(self.sew, theta1(self.sew.w, tau) / theta1_prime0(tau))
+            c[:, 0] = _anchor_logs(self.sew, g.K)
             self.log_A_coeffs = (n, c)
         return c
 
@@ -505,8 +534,18 @@ class _Surface:
 
 @lru_cache(maxsize=256)
 def _moment_block_cached(key):
-    """The one _Surface of a rho-free key (see _surface)."""
-    return _Surface(*key)
+    """The one cache of the package: a key (tau, w) gives its _Geometry,
+    the 7-tuple of _surface a _Surface on the geometry of its first two
+    entries.  A surface holds its geometry and no geometry holds a surface,
+    so an evicted entry is freed by reference counting alone."""
+    if len(key) == 2:
+        return _Geometry(*key)
+    return _Surface(_moment_block_cached(key[:2]), *key[2:])
+
+
+def _geometry(tau, w):
+    """The cached _Geometry of (tau, w)."""
+    return _moment_block_cached((tau, w))
 
 
 def _surface(sew, tw):

@@ -50,3 +50,15 @@ def test_reset_caches_finds_the_surface_cache(workloads):
     workloads.reset_caches()
     assert szego._moment_block_cached.cache_info().currsize == 0
     assert isinstance(workloads.cache_misses()[0], int)
+
+
+def test_benchmark_selftest_reports_no_failures(workloads, monkeypatch, tmp_path, capsys):
+    # every benchmark check passes on the program's output and fails once
+    # the value it looks at is perturbed (sewbench/selftest.py, in-process)
+    import run
+    import selftest
+
+    monkeypatch.setattr(run, "OUT_DIR", str(tmp_path))
+    monkeypatch.setenv("SEWKERNEL_THREADS", "1")
+    assert selftest.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 self-test failures"

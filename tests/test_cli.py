@@ -214,3 +214,21 @@ def test_sweep_respects_thread_env(tmp_path):
 def test_missing_config_file(tmp_path):
     code = main(["eval", "--config", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("eval", [{"target": "z2_fermionic", "parameters": BASE_PARAMS}]),
+        ("eval", {"target": "gen1_form", "parameters": dict(BASE_PARAMS, xs=3, ys=[1.0])}),
+        ("check", {"target": "invariance", "parameters": dict(BASE_PARAMS, generator=5)}),
+        ("sweep", {"target": "z2_fermionic", "parameters": BASE_PARAMS, "sweep": {"axes": [5]}}),
+    ],
+    ids=["top-level list", "xs not a list", "generator not a string", "axis not an object"],
+)
+def test_malformed_config_is_invalid_input(tmp_path, command, cfg):
+    # each of these used to end in a traceback and exit status 1, the
+    # status of a failed check
+    code, text = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert set(json.loads(text)) == {"schema", "error"}

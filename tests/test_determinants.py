@@ -135,6 +135,17 @@ def test_build_R_block_structure():
     assert abs(R[N + k - 1, N + l - 1] - pref * moment_D_boson(l, k, TAU, W)) < 1e-12
 
 
+def test_build_R_reads_w_reduced_to_the_central_cell():
+    # R needs only w0 = w - lam, so it holds 30 cells out, where theta1 at
+    # w itself overflows: nothing on its path, SewingConfig included, may
+    # sum theta1 at w (K(w) is summed on first use)
+    tau = 0.2 + 1.0j
+    w0 = 0.8j * np.pi + 0.3
+    far = build_R(8, SewingConfig(tau, w0 + 2j * np.pi * 30.0 * tau, 1e-4))
+    near = build_R(8, SewingConfig(tau, w0, 1e-4))
+    assert np.max(np.abs(far - near)) < 1e-12 * np.max(np.abs(near))
+
+
 def test_det_inv_sqrt_continuation_near_identity():
     # [DERIVED] as rho -> 0 the value tends to 1 and the branch is continuous
     vals = []

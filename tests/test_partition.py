@@ -204,7 +204,7 @@ def test_fock_sum_builds_the_moment_grids_once(sew, tw, monkeypatch):
     misses = szego._moment_block_cached.cache_info().misses
     fock_sum_oracle(3, sew, tw, quad_M=128)
     assert len(grids) == 1
-    assert szego._moment_block_cached.cache_info().misses == misses + 1
+    assert szego._moment_block_cached.cache_info().misses == misses + 2  # geometry, surface
 
 
 def test_z2_fermionic_beyond_unit_spectral_radius():

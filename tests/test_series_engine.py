@@ -267,7 +267,7 @@ def _ehat_mp(k, tau):
 
 def _taylor_roundoff(n, R):
     """16 times the round-off eps * n * 2^(64n/M) / R^n of n * a_n, order n
-    of a function read by elliptic._log_theta1_taylor on the circle of
+    of a function read from elliptic._log_theta1_circle on the circle of
     radius 2^(-64/M) * R, M points: the DFT carries about eps of the
     largest value, and dividing bin n by the radius^n scales it up by
     2^(64n/M)/R^n."""

@@ -1,6 +1,8 @@
 """Unit tests for the twisted genus-one kernel, its branch bookkeeping and the
 expansion-moment machinery."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,11 +13,14 @@ from conftest import A_values, log_A_radial
 from sewkernel import (
     SewingConfig,
     TwistConfig,
+    build_R,
     lattice_min_distance,
     moment_block,
     nearest_lattice_point,
     s_kappa,
     szego,
+    z2_fermionic,
+    z2_heisenberg,
 )
 from sewkernel.elliptic import eisenstein, weierstrass_P
 from sewkernel.szego import (
@@ -285,7 +290,7 @@ def test_T_does_not_depend_on_the_contour_radii(tw):
         ref = blocks if ref is None else ref
         for C, C0 in zip(blocks, ref):
             assert np.max(np.abs(C - C0)) <= 1e-14 * np.max(np.abs(C0))
-    assert szego._moment_block_cached.cache_info().misses == 1
+    assert szego._moment_block_cached.cache_info().misses == 2  # one geometry, one surface
 
 
 def test_moment_block_immutable(sew, tw):
@@ -362,7 +367,7 @@ def test_surface_is_keyed_on_the_rho_free_geometry(sew, tw, monkeypatch):
     s = SewingConfig(sew.tau, sew.w, 1.5 * sew.rho, log_rho=np.log(1.5 * sew.rho) + TWO_PI_I)
     t = replace(tw, beta2=-0.3, B=3)
     T = build_T(8, s, t, quad_M=64)
-    assert szego._moment_block_cached.cache_info().misses == 1
+    assert szego._moment_block_cached.cache_info().misses == 2  # one geometry, one surface
     assert len(grids) == 1  # the core at the three offsets, once
     szego._moment_block_cached.cache_clear()
     assert np.array_equal(T, build_T(8, s, t, quad_M=64))
@@ -374,7 +379,53 @@ def test_transport_by_C_builds_one_surface(tw):
 
     szego._moment_block_cached.cache_clear()
     invariance_residual(GroupElement.from_string("C"), SewingConfig(TAU, W, 1e-3), tw, 8, 64)
-    assert szego._moment_block_cached.cache_info().misses == 1
+    assert szego._moment_block_cached.cache_info().misses == 2  # one geometry, one surface
+
+
+def test_nothing_outlives_its_cache_entry(sew, tw):
+    # a surface holds its geometry and no geometry holds a surface, so the
+    # entries are freed by reference counting alone, without the cyclic
+    # collector, once the cache lets them go
+    szego._moment_block_cached.cache_clear()
+    gc.disable()
+    try:
+        build_T(8, sew, tw, quad_M=64)
+        build_R(8, sew)
+        surface = weakref.ref(szego._surface(sew, tw))
+        geometry = weakref.ref(szego._geometry(sew.tau, sew.w))
+        assert surface().geometry is geometry()
+        szego._moment_block_cached.cache_clear()
+        assert surface() is None and geometry() is None
+    finally:
+        gc.enable()
+
+
+def test_one_log_theta1_read_per_geometry(sew, tw, monkeypatch):
+    # T, R and lhat on a fresh (tau, w) read the log theta1 grid of their
+    # geometry once, through either module binding; R reads the grid of the
+    # surface bit for bit as its own cold read, and after half_diff at
+    # 0.8 R has grown the grid to 169 orders it moves by round-off only
+    # (4.6e-17 of its largest entry here, at most 4.9e-16 on 30 random
+    # surfaces)
+    from sewkernel import elliptic
+    from sewkernel.modular import lhat
+
+    szego._moment_block_cached.cache_clear()
+    cold = build_R(16, sew)
+    szego._moment_block_cached.cache_clear()
+    calls = []
+    read = elliptic._log_theta1_circle
+    for module in (elliptic, szego):
+        monkeypatch.setattr(module, "_log_theta1_circle", lambda *a: calls.append(a[0]) or read(*a))
+    z2_fermionic(sew, tw, 16, 256)
+    z2_heisenberg(sew, 16)
+    lhat(sew)
+    assert calls == [64]
+    assert np.array_equal(build_R(16, sew), cold)
+    wide = SewingConfig(sew.tau, sew.w, sew.rho, r1=0.8 * szego._surface(sew, tw).R)
+    half_diff(1, np.pi * 1j * (sew.tau + 1.0), 8, wide, tw, quad_M=256)
+    assert calls == [64, 169]
+    assert np.max(np.abs(build_R(16, sew) - cold)) <= 1e-15 * np.max(np.abs(cold))
 
 
 def test_half_diff_reconstructs_kernel(sew, tw):
